@@ -14,15 +14,19 @@ BENCH_SCALE ?= 0.05
 BENCH_MAX_OVERHEAD ?= 5
 OVERHEAD_ITERS ?= 5
 
-.PHONY: check vet lint lint-json build test race crash-recovery repl-fault bench bench-algos bench-algos-smoke bench-micro bench-smoke fuzz-smoke
+.PHONY: check vet fmt lint lint-json build test race crash-recovery repl-fault bench bench-algos bench-algos-smoke bench-micro bench-smoke fuzz-smoke
 
-## check: the full gate — vet, build, the pgrdfvet analyzers, the
-## race-enabled test suite, the crash-recovery differential, and the
-## replication fault-injection differential.
-check: vet build lint race crash-recovery repl-fault
+## check: the full gate — vet, gofmt, build, the pgrdfvet analyzers,
+## the race-enabled test suite, the crash-recovery differential, and
+## the replication fault-injection differential.
+check: vet fmt build lint race crash-recovery repl-fault
 
 vet:
 	$(GO) vet ./...
+
+## fmt: fail when any Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l internal cmd examples *.go)"
 
 ## lint: run the repo-specific static analyzers (see DESIGN.md,
 ## "Static analysis gate" and §14). Exit code 1 means findings.
@@ -90,9 +94,9 @@ bench-algos:
 bench-algos-smoke:
 	$(GO) run ./cmd/benchpaper -algobench -workers $(BENCH_WORKERS) -iters 1 -scale 0.02 -out BENCH_algos.json
 
-## bench-micro: row-vs-batch executor kernel microbenchmarks (scan,
-## hash probe, nested loop, filter) plus the store-level batched scan
-## benchmarks. Compare the row/ and batch/ sub-benchmark pairs.
+## bench-micro: batch-executor kernel microbenchmarks (scan, hash
+## probe, nested loop, filter, and BGPs re-applied per outer row under
+## OPTIONAL and UNION) plus the store-level batched scan benchmarks.
 bench-micro:
 	$(GO) test -bench 'Kernel' -run '^$$' -benchtime 20x ./internal/sparql/
 	$(GO) test -bench 'BenchmarkScan' -run '^$$' ./internal/store/
@@ -103,9 +107,11 @@ bench-micro:
 bench-smoke:
 	$(MAKE) bench BENCH_ITERS=1 BENCH_SCALE=0.02
 
-## fuzz-smoke: run each parser fuzz target for FUZZTIME (default 30s).
-## Regression seeds always run as part of plain `make test` too.
+## fuzz-smoke: run each parser fuzz target, and the executor's
+## reference differential over fuzzed seeds, for FUZZTIME (default
+## 30s) each. Regression seeds always run as part of plain `make test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/ntriples
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/turtle
 	$(GO) test -run='^$$' -fuzz=FuzzParseAndExec -fuzztime=$(FUZZTIME) ./internal/sparql
+	$(GO) test -run='^$$' -fuzz=FuzzReferenceDifferential -fuzztime=$(FUZZTIME) ./internal/sparql

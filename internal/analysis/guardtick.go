@@ -14,7 +14,8 @@ import (
 // no cancellation point and MaxBindings stops counting them.
 //
 // Rule, scoped to repro/internal/sparql: any call to a raw store row
-// source — (*store.Store).Scan / ScanBatch / ScanIndex / Cursor,
+// source — (*store.Store).Scan / ScanIndex / Cursor, the query's
+// read-locked (*store.ReadView).Scan / ScanBatch / Cursor,
 // (*store.Index).Scan / ScanRange / ScanRangeBatch, or
 // (*store.Cursor).NextBatch — must sit in a top-level function that
 // also ticks the guard (a call to guard.tick, guard.tickN, guard.poll,
@@ -42,9 +43,10 @@ var Guardtick = &Analyzer{
 
 // rawScanMethods are the store row sources that bypass (*execCtx).scan.
 var rawScanMethods = map[string]map[string]bool{
-	"Store":  {"Scan": true, "ScanBatch": true, "ScanIndex": true, "Cursor": true},
-	"Index":  {"Scan": true, "ScanRange": true, "ScanBatch": true, "ScanRangeBatch": true},
-	"Cursor": {"NextBatch": true},
+	"Store":    {"Scan": true, "ScanIndex": true, "Cursor": true},
+	"ReadView": {"Scan": true, "ScanBatch": true, "Cursor": true},
+	"Index":    {"Scan": true, "ScanRange": true, "ScanBatch": true, "ScanRangeBatch": true},
+	"Cursor":   {"NextBatch": true},
 }
 
 // csrRowMethods are internal/graph's hot-loop row sources: every CSR

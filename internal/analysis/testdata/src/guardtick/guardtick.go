@@ -153,9 +153,9 @@ func goodRangeScan(g *guard, ix *store.Index, r store.RowRange, p store.Pattern)
 	return n
 }
 
-func badBatchScan(st *store.Store, p store.Pattern) int {
+func badBatchScan(v *store.ReadView, p store.Pattern) int {
 	n := 0
-	st.ScanBatch(p, 1024, func(run []store.IDQuad) bool { // want "store scan without a budget-guard tick"
+	v.ScanBatch(p, 1024, func(run []store.IDQuad) bool { // want "store scan without a budget-guard tick"
 		n += len(run)
 		return true
 	})
@@ -185,9 +185,9 @@ func badNextBatch(c *store.Cursor) int {
 
 // goodBatchScan settles the budget with one tickN per batch — the
 // vectorized executor's per-batch amortization of per-row ticks.
-func goodBatchScan(g *guard, st *store.Store, p store.Pattern) int {
+func goodBatchScan(g *guard, v *store.ReadView, p store.Pattern) int {
 	n := 0
-	st.ScanBatch(p, 1024, func(run []store.IDQuad) bool {
+	v.ScanBatch(p, 1024, func(run []store.IDQuad) bool {
 		if !g.tickN(len(run)) {
 			return false
 		}

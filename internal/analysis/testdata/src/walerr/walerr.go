@@ -8,13 +8,13 @@ import (
 )
 
 func bad(l *wal.Log, b wal.Batch) {
-	l.Commit(b, nil)     // want "Log.Commit error discarded"
-	l.Checkpoint(nil)    // want "Log.Checkpoint error discarded"
+	l.Commit(b, nil)             // want "Log.Commit error discarded"
+	l.Checkpoint(nil)            // want "Log.Checkpoint error discarded"
 	l.CheckpointIncremental(nil) // want "Log.CheckpointIncremental error discarded"
-	l.Sync()             // want "Log.Sync error discarded"
-	_ = l.Sync()         // want "Log.Sync error assigned to _"
-	defer l.Sync()       // want "Log.Sync error discarded by defer"
-	go l.Checkpoint(nil) // want "Log.Checkpoint error discarded by go statement"
+	l.Sync()                     // want "Log.Sync error discarded"
+	_ = l.Sync()                 // want "Log.Sync error assigned to _"
+	defer l.Sync()               // want "Log.Sync error discarded by defer"
+	go l.Checkpoint(nil)         // want "Log.Checkpoint error discarded by go statement"
 }
 
 func good(l *wal.Log, b wal.Batch) error {
@@ -45,9 +45,9 @@ func suppressed(l *wal.Log) {
 // methods under the same rule are unexported; they are checked inside
 // the repl package itself when pgrdfvet runs over ./...)
 func applyPath(b wal.Batch, data []byte) {
-	wal.ApplyBatch(nil, b)         // want "ApplyBatch error discarded"
+	wal.ApplyBatch(nil, b)                // want "ApplyBatch error discarded"
 	_, _, _ = wal.DecodeFrames(data, nil) // want "DecodeFrames error assigned to _"
-	go wal.ApplyBatch(nil, b)      // want "ApplyBatch error discarded by go statement"
+	go wal.ApplyBatch(nil, b)             // want "ApplyBatch error discarded by go statement"
 }
 
 func applyPathGood(b wal.Batch, data []byte) error {

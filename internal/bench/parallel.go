@@ -16,16 +16,13 @@ import (
 // 5–9 whose driving scans are large enough to fan out.
 var parallelBenchQueries = []string{"EQ3", "EQ7a", "EQ11d", "EQ12"}
 
-// ParallelQueryResult is one query's three-way comparison: the
-// row-at-a-time serial baseline (serial_ms), the vectorized serial
-// executor (batch_ms), and the vectorized parallel executor
-// (parallel_ms). batch_speedup isolates the vectorization win at
-// workers=1; speedup is the combined vectorization+parallelism win
-// over the row baseline.
+// ParallelQueryResult is one query's serial-vs-parallel comparison on
+// the batch executor: batch_ms at one worker, parallel_ms with the
+// report's worker budget.
 //
-// Rows is the baseline's count and ParallelRows the parallel
-// executor's; ParallelBench fails if any executor disagrees, so a
-// published report is itself evidence the executors agreed. A zero
+// Rows is the serial count and ParallelRows the parallel one;
+// ParallelBench fails if they disagree, so a published report is
+// itself evidence the two agreed. A zero
 // count is not a measurement bug: EQ3 and EQ7a are 4-hop chain SELECTs
 // whose same-tag join finds no matches at small synthetic scales,
 // while the scans and joins being timed still do their full work.
@@ -35,11 +32,8 @@ type ParallelQueryResult struct {
 	Model        string  `json:"model"`
 	Rows         int     `json:"rows"`
 	ParallelRows int     `json:"parallel_rows"`
-	SerialMS     float64 `json:"serial_ms"`
 	BatchMS      float64 `json:"batch_ms"`
 	ParallelMS   float64 `json:"parallel_ms"`
-	Speedup      float64 `json:"speedup"`
-	BatchSpeedup float64 `json:"batch_speedup"`
 }
 
 // ParallelLoadResult compares serial vs parallel bulk-load time for the
@@ -60,16 +54,13 @@ type ParallelReport struct {
 	BulkLoad   ParallelLoadResult    `json:"bulk_load"`
 }
 
-// ParallelBench measures the paper's scan-heavy queries under three
-// executors — the row-at-a-time serial baseline (vectorization
-// disabled), the vectorized serial executor, and the vectorized
-// morsel-driven executor with the given worker budget — plus bulk-load
-// throughput with serial vs parallel index builds. Each query is
-// warmed once, then timed iters times; the median is reported. Note
-// that parallel speedups are bounded by the machine: on a single-core
-// host the parallel executor can only match the serial one (GOMAXPROCS
-// is recorded in the report for that reason); batch_speedup is
-// machine-independent since both legs run on one worker.
+// ParallelBench measures the paper's scan-heavy queries on the batch
+// executor at one worker and with the given worker budget (morsel
+// parallelism), plus bulk-load throughput with serial vs parallel
+// index builds. Each query is warmed once, then timed iters times; the
+// median is reported. Parallel speedups are bounded by the machine: on
+// a single-core host the parallel run can only match the serial one
+// (GOMAXPROCS is recorded in the report for that reason).
 func ParallelBench(ctx context.Context, env *Env, workers, iters int) (*ParallelReport, error) {
 	if workers < 2 {
 		workers = 2
@@ -79,9 +70,6 @@ func ParallelBench(ctx context.Context, env *Env, workers, iters int) (*Parallel
 	}
 	rep := &ParallelReport{Workers: workers, GOMAXPROCS: runtime.GOMAXPROCS(0), Iters: iters}
 	se := env.NG
-	serial := sparql.NewEngine(se.Store)
-	serial.Parallelism = 1
-	serial.DisableVectorized = true
 	batch := sparql.NewEngine(se.Store)
 	batch.Parallelism = 1
 	par := sparql.NewEngine(se.Store)
@@ -93,10 +81,6 @@ func ParallelBench(ctx context.Context, env *Env, workers, iters int) (*Parallel
 			return nil, fmt.Errorf("parallelbench: unknown paper query %q", name)
 		}
 		model := TargetModelFor(se, name)
-		res, err := serial.QueryContext(ctx, model, q) // warm-up + row count
-		if err != nil {
-			return nil, fmt.Errorf("parallelbench %s (serial): %w", name, err)
-		}
 		bres, err := batch.QueryContext(ctx, model, q) // warm-up + row count
 		if err != nil {
 			return nil, fmt.Errorf("parallelbench %s (batch): %w", name, err)
@@ -105,15 +89,11 @@ func ParallelBench(ctx context.Context, env *Env, workers, iters int) (*Parallel
 		if err != nil {
 			return nil, fmt.Errorf("parallelbench %s (parallel): %w", name, err)
 		}
-		if resultCount(bres) != resultCount(res) || resultCount(pres) != resultCount(res) {
+		if resultCount(pres) != resultCount(bres) {
 			// A timing report over divergent results would be
 			// meaningless — and would hide a correctness bug.
-			return nil, fmt.Errorf("parallelbench %s: row/batch/parallel executors returned %d/%d/%d rows",
-				name, resultCount(res), resultCount(bres), resultCount(pres))
-		}
-		sMed, err := medianRun(ctx, serial, model, q, iters)
-		if err != nil {
-			return nil, fmt.Errorf("parallelbench %s (serial): %w", name, err)
+			return nil, fmt.Errorf("parallelbench %s: serial/parallel runs returned %d/%d rows",
+				name, resultCount(bres), resultCount(pres))
 		}
 		bMed, err := medianRun(ctx, batch, model, q, iters)
 		if err != nil {
@@ -127,13 +107,10 @@ func ParallelBench(ctx context.Context, env *Env, workers, iters int) (*Parallel
 			Name:         name,
 			Scheme:       se.Scheme.String(),
 			Model:        model,
-			Rows:         resultCount(res),
+			Rows:         resultCount(bres),
 			ParallelRows: resultCount(pres),
-			SerialMS:     ms(sMed),
 			BatchMS:      ms(bMed),
 			ParallelMS:   ms(pMed),
-			Speedup:      speedup(sMed, pMed),
-			BatchSpeedup: speedup(sMed, bMed),
 		})
 	}
 	load, err := parallelLoadBench(env, workers, iters)
@@ -184,12 +161,12 @@ func parallelLoadBench(env *Env, workers, iters int) (*ParallelLoadResult, error
 	}, nil
 }
 
-// ParallelDifferential runs every paper query under the row-at-a-time
-// serial baseline, the vectorized serial executor, and the vectorized
-// parallel executor on all three schemes (NG, SP, and the lazily
-// loaded RF ablation) and fails on the first result mismatch — the
-// acceptance check that batch-at-a-time and morsel-driven execution
-// are byte-identical to the row-at-a-time serial plans.
+// ParallelDifferential runs every paper query serially, in parallel,
+// and in parallel with per-operator profiling on all three schemes
+// (NG, SP, and the lazily loaded RF ablation) and fails on the first
+// result that is not byte-identical to the serial one. (The serial
+// executor's own oracle is the reference evaluator in
+// internal/sparql's tests.)
 func ParallelDifferential(ctx context.Context, env *Env, workers int) error {
 	if workers < 2 {
 		workers = 8
@@ -202,29 +179,17 @@ func ParallelDifferential(ctx context.Context, env *Env, workers int) error {
 	for _, se := range append(env.SchemeEnvs(), rf) {
 		serial := sparql.NewEngine(se.Store)
 		serial.Parallelism = 1
-		serial.DisableVectorized = true
-		batch := sparql.NewEngine(se.Store)
-		batch.Parallelism = 1
 		par := sparql.NewEngine(se.Store)
 		par.Parallelism = workers
 		// Lower the hash-join threshold so the lazy switch (and thus the
 		// partitioned build) engages even at test scale.
 		serial.HashJoinThreshold = 16
-		batch.HashJoinThreshold = 16
 		par.HashJoinThreshold = 16
 		for _, name := range sortedKeys(queries) {
 			model := TargetModelFor(se, name)
 			want, err := serial.QueryContext(ctx, model, queries[name])
 			if err != nil {
 				return fmt.Errorf("differential %s/%s (serial): %w", se.Scheme, name, err)
-			}
-			bgot, err := batch.QueryContext(ctx, model, queries[name])
-			if err != nil {
-				return fmt.Errorf("differential %s/%s (batch): %w", se.Scheme, name, err)
-			}
-			if bgot.String() != want.String() {
-				return fmt.Errorf("differential %s/%s: vectorized result differs from row-at-a-time\n--- row ---\n%s\n--- vectorized ---\n%s",
-					se.Scheme, name, want, bgot)
 			}
 			got, err := par.QueryContext(ctx, model, queries[name])
 			if err != nil {

@@ -27,7 +27,7 @@ func TestParallelBenchSmoke(t *testing.T) {
 		t.Fatalf("report has %d queries, want %d", len(rep.Queries), len(parallelBenchQueries))
 	}
 	for _, qr := range rep.Queries {
-		if qr.SerialMS < 0 || qr.ParallelMS < 0 {
+		if qr.BatchMS < 0 || qr.ParallelMS < 0 {
 			t.Errorf("%s: negative timing %+v", qr.Name, qr)
 		}
 	}

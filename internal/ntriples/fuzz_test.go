@@ -25,8 +25,8 @@ func FuzzReader(f *testing.F) {
 		"_:b0 <http://p> _:b1 .\n",
 		"# comment\n\n<http://a> <http://p> \"x\\\"y\\\\z\" .\n",
 		"<http://a> <http://p> \"\\u00e9\\U0001F600\" .\n",
-		"<a> <p>",             // truncated
-		"\"dangling",          // bare literal
+		"<a> <p>",    // truncated
+		"\"dangling", // bare literal
 		"<http://a> <http://p> \"v\"^^",
 		"<http://a> <http://p> \"v\"@",
 	}

@@ -221,6 +221,10 @@ type compiler struct {
 	vt       *varTable
 	seq      *int // shared fresh-var counter across nested scopes
 	patterns int  // total triple patterns lowered (guardrail accounting)
+	// graph is the active GRAPH context, nil outside any GRAPH. It
+	// applies to everything nested inside the GRAPH — OPTIONAL, UNION
+	// and MINUS inners, EXISTS patterns and sub-selects included.
+	graph *GraphCtx
 }
 
 func freshCounter() *int { i := 0; return &i }
@@ -231,9 +235,10 @@ func (c *compiler) fresh(prefix string) int {
 }
 
 // compileSelect compiles a SELECT (or sub-SELECT) into a plan with its
-// own variable scope.
-func compileSelect(sel *SelectQuery, seq *int) (*compiled, error) {
-	c := &compiler{vt: newVarTable(), seq: seq}
+// own variable scope, inside the active GRAPH context graph (nil for
+// none).
+func compileSelect(sel *SelectQuery, seq *int, graph *GraphCtx) (*compiled, error) {
+	c := &compiler{vt: newVarTable(), seq: seq, graph: graph}
 	pipeline, err := c.group(sel.Where)
 	if err != nil {
 		return nil, err
@@ -369,14 +374,14 @@ func (c *compiler) group(g *GroupGraphPattern) ([]op, error) {
 		}
 	}
 
-	var addElems func(elems []PatternElem, gctx *GraphCtx) error
-	addElems = func(elems []PatternElem, gctx *GraphCtx) error {
+	var addElems func(elems []PatternElem) error
+	addElems = func(elems []PatternElem) error {
 		for _, elem := range elems {
 			switch x := elem.(type) {
 			case *TriplePattern:
 				eff := x.Graph
-				if gctx != nil {
-					eff = *gctx
+				if c.graph != nil {
+					eff = *c.graph
 				}
 				qps, extra, err := c.lowerTriple(x, eff)
 				if err != nil {
@@ -400,18 +405,21 @@ func (c *compiler) group(g *GroupGraphPattern) ([]op, error) {
 				} else {
 					inner = GraphCtx{Kind: GraphTerm, Term: x.Graph.Term}
 				}
+				outer := c.graph
+				c.graph = &inner
+				var err error
 				if onlyTriples(x.Group) {
-					if err := addElems(x.Group.Elems, &inner); err != nil {
-						return err
-					}
-					continue
+					err = addElems(x.Group.Elems)
+				} else {
+					flushBGP()
+					var sub []op
+					sub, err = c.group(x.Group)
+					pipeline = append(pipeline, sub...)
 				}
-				flushBGP()
-				sub, err := c.groupWithCtx(x.Group, &inner)
+				c.graph = outer
 				if err != nil {
 					return err
 				}
-				pipeline = append(pipeline, sub...)
 			case *FilterElem:
 				ce, err := c.expr(x.Cond)
 				if err != nil {
@@ -460,7 +468,7 @@ func (c *compiler) group(g *GroupGraphPattern) ([]op, error) {
 				pipeline = append(pipeline, vo)
 			case *SubSelect:
 				flushBGP()
-				sub, err := compileSelect(x.Select, c.seq)
+				sub, err := compileSelect(x.Select, c.seq, c.graph)
 				if err != nil {
 					return err
 				}
@@ -476,30 +484,11 @@ func (c *compiler) group(g *GroupGraphPattern) ([]op, error) {
 		}
 		return nil
 	}
-	if err := addElems(g.Elems, nil); err != nil {
+	if err := addElems(g.Elems); err != nil {
 		return nil, err
 	}
 	flushBGP()
 	return pipeline, nil
-}
-
-// groupWithCtx compiles a nested group whose elements inherit a graph
-// context (GRAPH over a group containing non-triple elements).
-func (c *compiler) groupWithCtx(g *GroupGraphPattern, gctx *GraphCtx) ([]op, error) {
-	// Push the graph context down onto every triple pattern.
-	clone := &GroupGraphPattern{}
-	for _, e := range g.Elems {
-		if tp, ok := e.(*TriplePattern); ok {
-			cp := *tp
-			cp.Graph = *gctx
-			clone.Elems = append(clone.Elems, &cp)
-		} else if gp, ok := e.(*GraphPattern); ok {
-			clone.Elems = append(clone.Elems, gp) // inner GRAPH overrides
-		} else {
-			clone.Elems = append(clone.Elems, e)
-		}
-	}
-	return c.group(clone)
 }
 
 func onlyTriples(g *GroupGraphPattern) bool {

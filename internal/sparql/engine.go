@@ -24,13 +24,6 @@ type Engine struct {
 	// for normal use.
 	DisableHashJoin bool
 
-	// DisableVectorized forces the row-at-a-time pull pipeline for every
-	// operator, disabling batch-at-a-time BGP execution (DESIGN.md §15).
-	// It exists as the vectorization ablation baseline for benchmarks
-	// and the row/batch differential tests; leave it false for normal
-	// use. Set it once before serving queries; it is read concurrently.
-	DisableVectorized bool
-
 	// Limits is the per-query resource budget applied by the *Context
 	// execution methods. The zero value imposes no limits. Set it once
 	// before serving queries; it is read concurrently.
@@ -184,7 +177,7 @@ func (e *Engine) compileSelectText(query string) (*compiled, error) {
 	if q.Form != FormSelect {
 		return nil, fmt.Errorf("sparql: Query expects a SELECT query; use Ask, Construct or Describe")
 	}
-	cp, err := compileSelect(q.Select, freshCounter())
+	cp, err := compileSelect(q.Select, freshCounter(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -343,6 +336,7 @@ func (e *Engine) queryInternal(ctx context.Context, model, query string, wantPro
 	if err != nil {
 		return nil, nil, err
 	}
+	defer ec.view.Release()
 	if wantProfile || e.slowLogWantsProfile() {
 		ec.prof = newQueryProfile(cp.nstages)
 	}
@@ -413,20 +407,12 @@ func (e *Engine) AskContext(ctx context.Context, model, query string) (found boo
 	if err != nil {
 		return false, err
 	}
+	defer ec.view.Release()
 	// ASK only needs any one row, so result order is irrelevant: let
 	// the parallel batch executor skip the order-preserving merge.
 	ec.unordered = true
-	if bs := vectorTail(ec, pipeline, len(c.vt.names)); bs != nil {
-		if err := finishGuard(ec, bs(func(cb *colBatch) bool {
-			found = true
-			return false
-		})); err != nil {
-			return false, err
-		}
-		return found, nil
-	}
-	src := runPipeline(ec, pipeline, unitSource(len(c.vt.names)))
-	if err := finishGuard(ec, src(func(binding) bool {
+	bs := planBatches(ec, pipeline, len(c.vt.names))
+	if err := finishGuard(ec, bs(func(*colBatch) bool {
 		found = true
 		return false
 	})); err != nil {
@@ -473,6 +459,7 @@ func (e *Engine) ConstructContext(ctx context.Context, model, query string) (out
 	if err != nil {
 		return nil, err
 	}
+	defer ec.view.Release()
 	seen := make(map[rdf.Quad]struct{})
 	src := runPipeline(ec, pipeline, unitSource(len(c.vt.names)))
 	if err := finishGuard(ec, src(func(b binding) bool {
@@ -586,6 +573,7 @@ func (e *Engine) DescribeContext(ctx context.Context, model, query string) (out 
 	if err != nil {
 		return nil, err
 	}
+	defer ec.view.Release()
 
 	// Gather the set of resources to describe.
 	resources := make(map[store.ID]struct{})
@@ -597,7 +585,7 @@ func (e *Engine) DescribeContext(ctx context.Context, model, query string) (out 
 			}
 			continue
 		}
-		if id := e.st.Dict().Lookup(tv.Term); id != store.NoID {
+		if id := ec.view.Dict().Lookup(tv.Term); id != store.NoID {
 			resources[id] = struct{}{}
 		}
 	}
@@ -659,7 +647,7 @@ func (e *Engine) Explain(model, query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cp, err := compileSelect(q.Select, freshCounter())
+	cp, err := compileSelect(q.Select, freshCounter(), nil)
 	if err != nil {
 		return "", err
 	}
@@ -667,6 +655,7 @@ func (e *Engine) Explain(model, query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	defer ec.view.Release()
 	ex := &explainer{ec: ec}
 	ex.printf("Select (dataset=%s)", datasetName(model))
 	ex.indent++
@@ -718,17 +707,18 @@ func (e *Engine) execCtxIn(ctx context.Context, model string, vt *varTable) (*ex
 	return ec, nil
 }
 
+// execCtx builds the execution context over a fresh store view; the
+// caller must release it (ec.view.Release) when the evaluation ends.
 func (e *Engine) execCtx(model string, vt *varTable) (*execCtx, error) {
 	ids, err := e.st.ResolveDataset(model)
 	if err != nil {
 		return nil, err
 	}
 	ec := &execCtx{
-		st:              e.st,
 		estc:            &e.estc,
 		vt:              vt,
 		noHashJoin:      e.DisableHashJoin,
-		vectorized:      !e.DisableVectorized,
+		bgps:            &bgpPool{},
 		parallelism:     e.parallelism(),
 		hashMin:         e.hashJoinMin(),
 		pstats:          &e.pstats,
@@ -752,6 +742,8 @@ func (e *Engine) execCtx(model string, vt *varTable) (*execCtx, error) {
 			ec.singleModel = ids[0]
 		}
 	}
+	// The view is taken last: nothing after it may lock the store again.
+	ec.view = e.st.ReadView()
 	return ec, nil
 }
 
@@ -873,6 +865,7 @@ func (e *Engine) deleteWhere(ctx context.Context, model string, g *GroupGraphPat
 	if err != nil {
 		return 0, err
 	}
+	defer ec.view.Release()
 	src := runPipeline(ec, pipeline, unitSource(len(c.vt.names)))
 	var toDelete []rdf.Quad
 	if err := finishGuard(ec, src(func(b binding) bool {
@@ -886,6 +879,7 @@ func (e *Engine) deleteWhere(ctx context.Context, model string, g *GroupGraphPat
 	})); err != nil {
 		return 0, err
 	}
+	ec.view.Release() // before committing: the commit takes the write lock
 	models, err := e.st.ResolveDataset(model)
 	if err != nil {
 		return 0, err
@@ -927,6 +921,7 @@ func (e *Engine) modify(ctx context.Context, model string, m Modify) (deleted, i
 	if err != nil {
 		return 0, 0, err
 	}
+	defer ec.view.Release()
 	var toDelete, toInsert []rdf.Quad
 	delSeen := make(map[rdf.Quad]struct{})
 	insSeen := make(map[rdf.Quad]struct{})
@@ -938,6 +933,7 @@ func (e *Engine) modify(ctx context.Context, model string, m Modify) (deleted, i
 	})); err != nil {
 		return 0, 0, err
 	}
+	ec.view.Release() // before committing: the commit takes the write lock
 	models, err := e.st.ResolveDataset(model)
 	if err != nil {
 		return 0, 0, err

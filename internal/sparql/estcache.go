@@ -25,10 +25,10 @@ type estCache struct {
 	m map[store.Pattern]int
 }
 
-// estimate returns st.EstimateCount(p), cached within one store
+// estimate returns view.EstimateCount(p), cached within one store
 // version.
-func (c *estCache) estimate(st *store.Store, p store.Pattern) int {
-	v := st.Version()
+func (c *estCache) estimate(view *store.ReadView, p store.Pattern) int {
+	v := view.Version()
 	c.mu.Lock()
 	if c.m == nil || c.version != v {
 		c.m = make(map[store.Pattern]int)
@@ -40,7 +40,7 @@ func (c *estCache) estimate(st *store.Store, p store.Pattern) int {
 	}
 	c.mu.Unlock()
 
-	n := st.EstimateCount(p)
+	n := view.EstimateCount(p)
 
 	c.mu.Lock()
 	// Recheck the generation: a concurrent Update may have advanced the

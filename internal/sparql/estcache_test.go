@@ -37,14 +37,25 @@ func predPattern(st *store.Store, pred string) store.Pattern {
 	return p
 }
 
+// estimateOnce takes a store view for a single estimate, cached in c
+// unless c is nil: a view must not be held across the test's inserts.
+func estimateOnce(c *estCache, st *store.Store, p store.Pattern) int {
+	v := st.ReadView()
+	defer v.Release()
+	if c == nil {
+		return v.EstimateCount(p)
+	}
+	return c.estimate(v, p)
+}
+
 func TestEstCacheInvalidatesOnStoreVersion(t *testing.T) {
 	st := estFixture(t)
 	var c estCache
 	p := predPattern(st, "http://pg/k/rare")
-	if got := c.estimate(st, p); got != st.EstimateCount(p) {
-		t.Fatalf("first estimate = %d, want %d", got, st.EstimateCount(p))
+	if got, want := estimateOnce(&c, st, p), estimateOnce(nil, st, p); got != want {
+		t.Fatalf("first estimate = %d, want %d", got, want)
 	}
-	before := c.estimate(st, p)
+	before := estimateOnce(&c, st, p)
 
 	// A successful mutation bumps Store.Version; the cached generation
 	// must be discarded, not served stale.
@@ -52,11 +63,11 @@ func TestEstCacheInvalidatesOnStoreVersion(t *testing.T) {
 		S: rdf.NewIRI("http://pg/v9"), P: rdf.NewIRI("http://pg/k/rare"), O: rdf.NewLiteral("r9")}); err != nil {
 		t.Fatal(err)
 	}
-	after := c.estimate(st, p)
+	after := estimateOnce(&c, st, p)
 	if after == before {
 		t.Fatalf("estimate stayed %d across an insert; cache not invalidated", before)
 	}
-	if want := st.EstimateCount(p); after != want {
+	if want := estimateOnce(nil, st, p); after != want {
 		t.Fatalf("post-insert estimate = %d, want %d", after, want)
 	}
 
@@ -78,7 +89,7 @@ func TestEstCacheWholesaleDropAtLimit(t *testing.T) {
 	for i := 0; i < estCacheLimit; i++ {
 		p := store.AnyPattern()
 		p.S = store.ID(i + 1000)
-		c.estimate(st, p)
+		estimateOnce(&c, st, p)
 	}
 	c.mu.Lock()
 	n := len(c.m)
@@ -88,7 +99,7 @@ func TestEstCacheWholesaleDropAtLimit(t *testing.T) {
 	}
 	// One more estimate crosses the limit: the map is dropped wholesale
 	// and restarted with just the new entry.
-	c.estimate(st, store.AnyPattern())
+	estimateOnce(&c, st, store.AnyPattern())
 	c.mu.Lock()
 	n = len(c.m)
 	c.mu.Unlock()

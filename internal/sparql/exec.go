@@ -11,10 +11,15 @@ import (
 	"repro/internal/store"
 )
 
-// execCtx carries the store, dataset restriction and variable table
-// through execution.
+// execCtx carries the store view, dataset restriction and variable
+// table through execution.
 type execCtx struct {
-	st          *store.Store
+	// view is the query's read-locked store view: taken once per
+	// evaluation, shared by its morsel workers, released when the
+	// evaluation ends (updates release it before committing). Every
+	// store read of the evaluation goes through it, never through a
+	// method that locks again.
+	view        *store.ReadView
 	estc        *estCache                  // nil = uncached estimates
 	models      map[store.ModelID]struct{} // nil = all models
 	singleModel store.ModelID              // set when the dataset is one model
@@ -34,11 +39,9 @@ type execCtx struct {
 	pstats          *parallelStats
 	parallelFlagged *atomic.Bool // set once when the query goes parallel
 
-	// vectorized enables batch-at-a-time BGP execution (DESIGN.md §15).
-	// Off, every operator runs the row-at-a-time pull pipeline — the
-	// pre-vectorization executor, kept as the ablation baseline and the
-	// fallback for operators that are not batch-aware.
-	vectorized bool
+	// bgps keeps each BGP operator's plan and batch executor for the
+	// query's lifetime (see bgpRun).
+	bgps *bgpPool
 
 	// unordered is set by evalSelect when the plan's results are
 	// consumed order-insensitively (a single implicit group whose
@@ -72,9 +75,9 @@ func (ec *execCtx) child(vt *varTable) *execCtx {
 // engine's versioned cache when one is attached.
 func (ec *execCtx) estimate(p store.Pattern) int {
 	if ec.estc != nil {
-		return ec.estc.estimate(ec.st, p)
+		return ec.estc.estimate(ec.view, p)
 	}
-	return ec.st.EstimateCount(p)
+	return ec.view.EstimateCount(p)
 }
 
 // term resolves an ID from the shared dictionary or, when the query
@@ -83,7 +86,7 @@ func (ec *execCtx) term(id store.ID) rdf.Term {
 	if ec.scratch != nil {
 		return ec.scratch.Term(id)
 	}
-	return ec.st.Dict().Term(id)
+	return ec.view.Dict().Term(id)
 }
 
 // intern maps a computed term to an ID without growing the shared
@@ -92,49 +95,29 @@ func (ec *execCtx) intern(t rdf.Term) store.ID {
 	if ec.scratch != nil {
 		return ec.scratch.Intern(t)
 	}
-	return ec.st.Dict().Intern(t)
+	return ec.view.Dict().Intern(t)
 }
 
-// scan runs a store scan restricted to the dataset's models. Every row
-// produced ticks the query guard, making scans the chokepoint where a
-// runaway query notices cancellation, deadline expiry or budget
+// scan runs a store scan restricted to the dataset's models. Every
+// visible row ticks the query guard, making scans the chokepoint where
+// a runaway query notices cancellation, deadline expiry or budget
 // exhaustion — whichever operator drives them.
 func (ec *execCtx) scan(p store.Pattern, fn func(store.IDQuad) bool) {
-	if g := ec.guard; g != nil {
-		inner := fn
-		fn = func(q store.IDQuad) bool {
-			if !g.tick() {
-				return false
-			}
-			return inner(q)
-		}
-	}
-	if ec.models == nil {
-		ec.st.Scan(p, fn)
-		return
-	}
-	if ec.singleModel != store.NoID {
-		m := ec.singleModel
-		ec.st.Scan(p, func(q store.IDQuad) bool {
-			if q.M != m {
-				return true
-			}
-			return fn(q)
-		})
-		return
-	}
-	ec.st.Scan(p, func(q store.IDQuad) bool {
-		if _, ok := ec.models[q.M]; !ok {
+	ec.view.Scan(p, func(q store.IDQuad) bool {
+		if !ec.visible(q) {
 			return true
+		}
+		if !ec.guard.tick() {
+			return false
 		}
 		return fn(q)
 	})
 }
 
-// quadVisible reports whether a quad belongs to the dataset's models —
-// the per-row form of the model filter ec.scan applies, used by the
-// batched scan loops (which receive raw index runs).
-func (ec *execCtx) quadVisible(q store.IDQuad) bool {
+// visible reports whether a quad belongs to the dataset's models: the
+// one model-visibility check, applied by ec.scan and by the batched
+// scan and morsel loops (which receive raw index runs).
+func (ec *execCtx) visible(q store.IDQuad) bool {
 	if ec.models == nil {
 		return true
 	}
@@ -217,7 +200,7 @@ func (o *bgpOp) resolve(ec *execCtx) []resolvedPattern {
 			if r.isVar {
 				return
 			}
-			id := ec.st.Dict().Lookup(r.term)
+			id := ec.view.Dict().Lookup(r.term)
 			if id == store.NoID {
 				rp.missing = true
 			}
@@ -227,7 +210,7 @@ func (o *bgpOp) resolve(ec *execCtx) []resolvedPattern {
 		resolvePos(1, qp.p)
 		resolvePos(2, qp.o)
 		if qp.g.kind == GraphTerm {
-			id := ec.st.Dict().Lookup(qp.g.term)
+			id := ec.view.Dict().Lookup(qp.g.term)
 			if id == store.NoID {
 				rp.missing = true
 			}
@@ -341,8 +324,9 @@ func (rp *resolvedPattern) bindQuad(b binding, q store.IDQuad, undo *undoList) b
 	return true
 }
 
-// matchesGraphCtx checks the graph-context constraint for quads coming
-// from a hash-table or scan where G was left unbound.
+// matchesGraphCtx checks the graph-context constraint (a GRAPH variable
+// never binds to the default graph) for hash-table builds, which scan
+// with G unbound; the join paths get the same check from bindQuad.
 func (rp *resolvedPattern) matchesGraphCtx(q store.IDQuad) bool {
 	if rp.qp.g.kind == GraphVar && q.G == store.NoID {
 		return false
@@ -441,9 +425,10 @@ func (hs *hashState) keyOf(q store.IDQuad) [4]store.ID {
 	return key
 }
 
-// bgpShared is the state of one BGP evaluation shared across the serial
+// bgpShared is a BGP's state within one query, shared by the serial
 // driver and all its parallel workers: resolved patterns, join order,
-// filter placement, the lazily built hash tables, and the per-step
+// filter placement — planned once per bgpRun — and, reset for each
+// application (reset), the lazily built hash tables and the per-step
 // input counters that drive the adaptive NLJ/hash switch.
 type bgpShared struct {
 	ec           *execCtx
@@ -468,122 +453,6 @@ func (sh *bgpShared) stepStat(depth int) *profStage {
 		return nil
 	}
 	return sh.stepStats[depth]
-}
-
-// bgpWalker is the per-goroutine execution state walking the join tree:
-// its own undo stack and row sink over a binding it owns exclusively.
-type bgpWalker struct {
-	sh    *bgpShared
-	undos []undoList
-	emit  func(binding) bool
-}
-
-func (w *bgpWalker) emitRow(b binding) bool {
-	ec := w.sh.ec
-	for _, f := range w.sh.finalFilters {
-		v, err := evalBool(ec, f.cond, b)
-		if err != nil || !v {
-			return true
-		}
-	}
-	return w.emit(b)
-}
-
-// step advances the join recursion by one pattern. It is the serial
-// executor verbatim; parallel workers run the same code over disjoint
-// morsels of the first step's scan.
-func (w *bgpWalker) step(depth int, b binding) bool {
-	sh := w.sh
-	ec := sh.ec
-	// Cooperative cancellation: the guard latches its error and the
-	// recursion unwinds; the source reports it on return.
-	if !ec.guard.poll() {
-		return false
-	}
-	for _, f := range sh.filterAt[depth] {
-		v, err := evalBool(ec, f.cond, b)
-		if err != nil || !v {
-			return true // filtered out; keep going
-		}
-	}
-	if depth == len(sh.order) {
-		return w.emitRow(b)
-	}
-	rp := &sh.rps[sh.order[depth]]
-	hs := &sh.hashes[depth]
-	pst := sh.stepStat(depth)
-	seen := sh.inputSeen[depth].Add(1)
-
-	// Decide whether to (lazily) switch this step to a hash join.
-	if !hs.built.Load() && !ec.noHashJoin && seen > int64(ec.hashMin) &&
-		rp.estConst < 64*int(seen) {
-		sh.buildHash(depth, rp, b)
-	}
-
-	if hs.built.Load() {
-		var key [4]store.ID
-		usable := true
-		//pgrdfvet:ignore guardedby -- keySlots is frozen before built.Store(true); built.Load() above is the publication barrier
-		for i, slot := range hs.keySlots {
-			if b[slot] == store.NoID {
-				usable = false // heterogeneous boundness: NLJ fallback
-				break
-			}
-			key[i] = b[slot]
-		}
-		if usable {
-			var probes int64 // flushed in one atomic per probe loop
-			//pgrdfvet:ignore guardedby -- table is immutable after built.Store(true); built.Load() above is the publication barrier
-			for _, q := range hs.table[key] {
-				if !rp.bindQuad(b, q, &w.undos[depth]) {
-					continue
-				}
-				probes++
-				// Probed rows bypass ec.scan, so they tick the guard
-				// here to stay inside the bindings budget.
-				if !ec.guard.tick() {
-					w.undos[depth].revert(b)
-					pst.addProbes(probes)
-					return false
-				}
-				// Re-check non-key bound positions (vars bound after
-				// the table was built are validated by bindQuad).
-				cont := w.step(depth+1, b)
-				w.undos[depth].revert(b)
-				if !cont {
-					pst.addProbes(probes)
-					return false
-				}
-			}
-			pst.addProbes(probes)
-			return true
-		}
-	}
-
-	// Index nested-loop join. Profiling counts into locals and flushes
-	// once after the scan: one guard tick was charged per scanned row.
-	stopped := false
-	var scanned, emitted int64
-	ec.scan(rp.boundPattern(b), func(q store.IDQuad) bool {
-		scanned++
-		if !rp.matchesGraphCtx(q) {
-			return true
-		}
-		if !rp.bindQuad(b, q, &w.undos[depth]) {
-			return true
-		}
-		emitted++
-		cont := w.step(depth+1, b)
-		w.undos[depth].revert(b)
-		if !cont {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	pst.addTicks(scanned)
-	pst.addRows(emitted)
-	return !stopped
 }
 
 // buildHash populates the hash table for one join step. The first
@@ -632,8 +501,8 @@ func (sh *bgpShared) buildHash(depth int, rp *resolvedPattern, b binding) {
 	hs.built.Store(true)
 }
 
-// newShared builds the per-evaluation shared state of a BGP: resolved
-// patterns, join order, filter placement and profiling slots. It
+// newShared plans a BGP: resolved patterns, join order, filter
+// placement and profiling slots. It
 // reports ok=false when a constant term does not occur in the
 // dictionary (the BGP can have no solutions).
 func (o *bgpOp) newShared(ec *execCtx) (*bgpShared, bool) {
@@ -687,6 +556,21 @@ func (o *bgpOp) newShared(ec *execCtx) (*bgpShared, bool) {
 	return sh, true
 }
 
+// reset clears the join state of the previous application: the input
+// counters, and the hash tables when any was built.
+func (sh *bgpShared) reset(ec *execCtx) {
+	sh.ec = ec
+	for i := range sh.inputSeen {
+		sh.inputSeen[i].Store(0)
+	}
+	for i := range sh.hashes {
+		if sh.hashes[i].built.Load() {
+			sh.hashes = make([]hashState, len(sh.hashes))
+			break
+		}
+	}
+}
+
 // foldStepStats folds the per-step input counters and the NLJ→hash
 // switch flags into the profile once per evaluation.
 func (sh *bgpShared) foldStepStats() {
@@ -703,29 +587,22 @@ func (sh *bgpShared) foldStepStats() {
 	}
 }
 
+// apply runs the BGP on the batch executor (applyBatch) and unbatches its
+// output for row-pipeline consumers: OPTIONAL, UNION and MINUS inners,
+// EXISTS, and any BGP that is not a plan's batch tail.
 func (o *bgpOp) apply(ec *execCtx, in source) source {
+	bs := o.applyBatch(ec, in)
 	return func(yield func(binding) bool) error {
-		sh, ok := o.newShared(ec)
-		if !ok {
-			return nil
-		}
-		w := &bgpWalker{sh: sh, undos: make([]undoList, len(sh.order)), emit: yield}
-		err := in(func(b binding) bool {
-			if sh.bgpStage != nil {
-				sh.bgpStage.rowsIn.Add(1)
-			}
-			if ec.parallelism > 1 {
-				if handled, cont := sh.tryParallel(b, yield); handled {
-					return cont
+		row := make(binding, len(ec.vt.names))
+		return bs(func(cb *colBatch) bool {
+			for i := 0; i < cb.n; i++ {
+				cb.materialize(i, row)
+				if !yield(row) {
+					return false
 				}
 			}
-			return w.step(0, b)
+			return true
 		})
-		sh.foldStepStats()
-		if err == nil && ec.guard != nil {
-			err = ec.guard.Err()
-		}
-		return err
 	}
 }
 
@@ -754,7 +631,7 @@ func (o *bgpOp) explain(e *explainer) {
 				boundCols = append(boundCols, store.ColG)
 			}
 		}
-		spec := e.ec.st.ChooseIndexByBound(boundCols)
+		spec := e.ec.view.ChooseIndexByBound(boundCols)
 		cols := make([]string, len(boundCols))
 		for j, c := range boundCols {
 			cols[j] = c.String()
@@ -1168,23 +1045,14 @@ func evalSelect(ec *execCtx, cp *compiled) ([][]rdf.Term, error) {
 	// The batch path may fan morsel results in unordered when nothing
 	// downstream observes row order (DESIGN.md §15).
 	ec.unordered = orderInsensitive(cp)
-	bs := vectorTail(ec, cp.pipeline, width)
-	var src source
-	if bs == nil {
-		src = runPipeline(ec, cp.pipeline, unitSource(width))
-	}
+	bs := planBatches(ec, cp.pipeline, width)
 
 	var solutions []binding
 	if cp.grouping {
 		gst := ec.profStage(cp.groupSid)
 		start := profNow(gst)
 		var err error
-		if bs != nil {
-			solutions, err = groupSolutionsBatch(ec, cp, bs)
-		} else {
-			solutions, err = groupSolutions(ec, cp, src)
-		}
-		if err != nil {
+		if solutions, err = groupSolutions(ec, cp, bs); err != nil {
 			return nil, err
 		}
 		profDone(gst, start, len(solutions))
@@ -1195,36 +1063,26 @@ func evalSelect(ec *execCtx, cp *compiled) ([][]rdf.Term, error) {
 		if cp.limit >= 0 && len(cp.orderBy) == 0 && !cp.distinct && !hasProjExprs(cp) {
 			budget = cp.offset + cp.limit
 		}
-		// Both consumers below materialize each solution and then apply
-		// the same caps: MaxRows bounds what the query may materialize,
-		// before DISTINCT or OFFSET/LIMIT shrink it — a resource cap,
-		// not a result-shaping knob — and budget stops a plain LIMIT
-		// query as soon as enough rows exist (mid-batch included).
-		if bs != nil {
-			err := finishGuard(ec, bs(func(cb *colBatch) bool {
-				for i := 0; i < cb.n; i++ {
-					b := make(binding, width)
-					cb.materialize(i, b)
-					solutions = append(solutions, b)
-					if !ec.guard.checkRows(len(solutions)) {
-						return false
-					}
-					if budget >= 0 && len(solutions) >= budget {
-						return false
-					}
+		// Materialize each solution, then apply the caps: MaxRows bounds
+		// what the query may materialize, before DISTINCT or
+		// OFFSET/LIMIT shrink it — a resource cap, not a result-shaping
+		// knob — and budget stops a plain LIMIT query as soon as enough
+		// rows exist (mid-batch included).
+		err := finishGuard(ec, bs(func(cb *colBatch) bool {
+			for i := 0; i < cb.n; i++ {
+				b := make(binding, width)
+				cb.materialize(i, b)
+				solutions = append(solutions, b)
+				if !ec.guard.checkRows(len(solutions)) {
+					return false
 				}
-				return true
-			}))
-			if err != nil {
-				return nil, err
+				if budget >= 0 && len(solutions) >= budget {
+					return false
+				}
 			}
-		} else if err := finishGuard(ec, src(func(b binding) bool {
-			solutions = append(solutions, b.clone())
-			if !ec.guard.checkRows(len(solutions)) {
-				return false
-			}
-			return budget < 0 || len(solutions) < budget
-		})); err != nil {
+			return true
+		}))
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -1364,10 +1222,8 @@ type groupData struct {
 	states []*aggState
 }
 
-// groupAcc folds solutions into per-group aggregate states — the
-// accumulator shared by the row (groupSolutions) and batch
-// (groupSolutionsBatch) grouping paths, so both produce identical
-// groups in identical order.
+// groupAcc folds solutions into per-group aggregate states, keeping
+// groups in first-seen order.
 type groupAcc struct {
 	ec     *execCtx
 	cp     *compiled
@@ -1502,17 +1358,6 @@ func (acc *groupAcc) finish() []binding {
 		}
 	}
 	return out
-}
-
-// groupSolutions consumes the source and folds each solution into its
-// group's aggregate states, returning one representative binding per
-// group with the aggregate result slots filled.
-func groupSolutions(ec *execCtx, cp *compiled, src source) ([]binding, error) {
-	acc := newGroupAcc(ec, cp)
-	if err := finishGuard(ec, src(acc.add)); err != nil {
-		return nil, err
-	}
-	return acc.finish(), nil
 }
 
 func accumulate(st *aggState, agg compiledAgg, val rdf.Term) {

@@ -1,6 +1,11 @@
 package sparql
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/rdf"
+	"repro/internal/store"
+)
 
 func TestFilterExists(t *testing.T) {
 	st := fig1Store(t)
@@ -66,5 +71,30 @@ func TestExistsDoesNotLeakBindings(t *testing.T) {
 func TestNotWithoutExistsIsError(t *testing.T) {
 	if _, err := Parse(`SELECT ?x WHERE { ?x ?p ?y FILTER NOT (?x = ?y) }`); err == nil {
 		t.Error("NOT without EXISTS accepted")
+	}
+}
+
+// TestNestedExistsSeesLaterVariables: an EXISTS pattern reads every
+// variable of the current solution, including ones only a nested
+// filter mentions. The outer FILTER must therefore not be pushed to the
+// join depth where its own pattern's variables are bound: there ?z,
+// bound by the BGP's second pattern, would still be unbound.
+func TestNestedExistsSeesLaterVariables(t *testing.T) {
+	a, b := refIRI("a"), refIRI("b")
+	v := func(s string) rdf.Term { return refIRI(s) }
+	quads := []rdf.Quad{
+		{S: v("v1"), P: a, O: v("v1")},
+		{S: v("v1"), P: a, O: v("v2")},
+		{S: v("v2"), P: a, O: v("v3")},
+		{S: v("v3"), P: b, O: v("v2")},
+	}
+	st := store.New()
+	if _, err := st.Load("m", quads); err != nil {
+		t.Fatal(err)
+	}
+	if n := checkReference(t, st, quads, "", refQuery{text: "PREFIX : <" + refNS + ">\n" +
+		`SELECT ?x ?z WHERE { ?x :a ?y . ?y :a ?z
+			FILTER (EXISTS { ?x :a ?x FILTER (NOT EXISTS { ?z :b :v2 }) }) }`}); n == 0 {
+		t.Fatal("the reference answer is empty; the check is vacuous")
 	}
 }

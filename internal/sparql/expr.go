@@ -75,7 +75,7 @@ func (c *compiler) expr(e Expr) (compiledExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &exprExistsC{negate: x.Negate, pipeline: pipeline, vars: pipelineVars(pipeline)}, nil
+		return &exprExistsC{negate: x.Negate, pipeline: pipeline}, nil
 	default:
 		return nil, fmt.Errorf("sparql: unsupported expression %T", e)
 	}
@@ -87,11 +87,15 @@ func (c *compiler) expr(e Expr) (compiledExpr, error) {
 type exprExistsC struct {
 	negate   bool
 	pipeline []op
-	vars     varset
 }
 
+// visitSlots reports every slot: the pattern sees the whole current
+// binding and may read any variable — in its patterns, nested filters
+// or nested EXISTS — so a FILTER (NOT) EXISTS waits for the end of its
+// BGP instead of being pushed to where the pipeline's own variables
+// are bound.
 func (e *exprExistsC) visitSlots(f func(int)) {
-	for _, slot := range sortedSlots(e.vars) {
+	for slot := 0; slot < maxVars; slot++ {
 		f(slot)
 	}
 }

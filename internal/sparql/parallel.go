@@ -6,18 +6,21 @@ package sparql
 // out as expensive (multi-hop traversals and triangle counting, Tables
 // 5–9): the driving scan of a BGP is snapshotted and split into
 // contiguous morsels, a small worker pool claims morsels from a shared
-// counter (work stealing), and every worker runs the ordinary serial
-// join pipeline over its morsel — probing the shared, lazily built hash
-// tables. Completed rows travel back to the coordinating goroutine in
-// per-morsel channels and are merged strictly in morsel order, so the
-// emitted row order is byte-identical to the serial executor's.
+// counter (work stealing), and every worker runs the serial batch
+// executor (vecExec) over its morsel — probing the shared, lazily built
+// hash tables. Finished batches travel back to the coordinating
+// goroutine in per-morsel channels and are merged strictly in morsel
+// order, so the emitted row order is byte-identical to the serial
+// executor's (or, for order-insensitive plans, fan in by completion).
 //
 // Workers honor the guard exactly like the serial path: every scanned
-// row ticks the shared (atomic) guard, every recursion step polls it,
-// and the first violation from any worker latches and unwinds all of
-// them. Worker goroutines always exit before the driving operator
-// returns — there is no detached work — which the leak-gauge tests
-// assert via Engine.ParallelStats().ActiveWorkers and OpenCursors.
+// row ticks the shared (atomic) guard, every batch step polls it, and
+// the first violation from any worker latches and unwinds all of them.
+// Workers read through the query's store view without locking again.
+// Worker goroutines always exit before the driving operator returns —
+// there is no detached work — which the leak-gauge tests assert via
+// Engine.ParallelStats().ActiveWorkers and OpenCursors, and which keeps
+// every read inside the view's lifetime.
 
 import (
 	"sync"
@@ -27,19 +30,21 @@ import (
 )
 
 const (
+	// morselsPerWorker cuts morsels finer than the worker count so
+	// stragglers rebalance through the shared claim counter.
+	morselsPerWorker = 4
+	// tickBatchRows is how many scanned rows a hash-build worker
+	// accumulates before ticking the shared guard in one tickN batch.
+	tickBatchRows = 1024
+)
+
+// The fan-out thresholds are variables only so the reference
+// differential can make morsels engage on its tiny stores.
+var (
 	// parallelScanMinRows is the minimum estimated size of a BGP's
 	// driving scan before the executor fans it out to workers; below
 	// it, snapshot + goroutine overhead dominates the work.
 	parallelScanMinRows = 2048
-	// morselsPerWorker cuts morsels finer than the worker count so
-	// stragglers rebalance through the shared claim counter.
-	morselsPerWorker = 4
-	// emitChunkRows is how many completed rows a worker batches per
-	// channel send to the order-preserving merger.
-	emitChunkRows = 64
-	// tickBatchRows is how many scanned rows a hash-build worker
-	// accumulates before ticking the shared guard in one tickN batch.
-	tickBatchRows = 1024
 	// parallelBFSMinFrontier is the path-search frontier width below
 	// which expansion stays serial.
 	parallelBFSMinFrontier = 64
@@ -112,7 +117,7 @@ func (ec *execCtx) releaseWorkers(n int) {
 // dataset's models where the restriction can be pushed into the
 // pattern) as a cursor, polling the guard first so a tripped query
 // never pays for the materialization. A multi-model subset cannot be
-// pushed down; workers filter those rows via rowVisible.
+// pushed down; workers filter those rows via ec.visible.
 func (ec *execCtx) snapshot(p store.Pattern) *store.Cursor {
 	if !ec.guard.poll() {
 		return nil
@@ -120,202 +125,7 @@ func (ec *execCtx) snapshot(p store.Pattern) *store.Cursor {
 	if ec.models != nil && ec.singleModel != store.NoID {
 		p.M = ec.singleModel
 	}
-	return ec.st.Cursor(p)
-}
-
-// rowVisible applies the dataset restriction a snapshot could not push
-// down into its pattern.
-func (ec *execCtx) rowVisible(q store.IDQuad) bool {
-	if ec.models == nil || ec.singleModel != store.NoID {
-		return true
-	}
-	_, ok := ec.models[q.M]
-	return ok
-}
-
-// tryParallel attempts to evaluate one input binding of a BGP by
-// fanning the first join step's scan out to workers. It reports
-// handled=false when the scan is too small or no worker slots are free,
-// in which case the caller falls back to the serial walker.
-func (sh *bgpShared) tryParallel(b binding, yield func(binding) bool) (handled, cont bool) {
-	ec := sh.ec
-	if len(sh.order) == 0 {
-		return false, true
-	}
-	if !ec.guard.poll() {
-		return true, false
-	}
-	for _, f := range sh.filterAt[0] {
-		v, err := evalBool(ec, f.cond, b)
-		if err != nil || !v {
-			return true, true // filtered out, like the serial step(0, b)
-		}
-	}
-	rp := &sh.rps[sh.order[0]]
-	pat := rp.boundPattern(b)
-	// Uncached estimate: bound patterns can carry per-query overlay IDs
-	// (VALUES/BIND terms), which must not leak into the shared cache.
-	if ec.st.EstimateCount(pat) < parallelScanMinRows {
-		return false, true
-	}
-	workers := ec.acquireWorkers(ec.parallelism)
-	if workers < 2 {
-		ec.releaseWorkers(workers)
-		return false, true
-	}
-	defer ec.releaseWorkers(workers)
-	// The driver replaces the serial step(0, b) for this binding; keep
-	// the step-0 input accounting consistent for later serial bindings.
-	sh.inputSeen[0].Add(1)
-	return true, sh.runParallel(b, rp, pat, workers, yield)
-}
-
-// runParallel executes one input binding's join tree with a partitioned
-// first-step scan and order-preserving merge. It returns false when the
-// consumer stopped or the guard tripped.
-func (sh *bgpShared) runParallel(b binding, rp *resolvedPattern, pat store.Pattern, workers int, yield func(binding) bool) bool {
-	ec := sh.ec
-	cur := ec.snapshot(pat)
-	if cur == nil {
-		return false // guard tripped before the snapshot
-	}
-	morsels := cur.Partitions(workers * morselsPerWorker)
-	ec.markParallel(workers, len(morsels))
-	if sh.bgpStage != nil {
-		sh.bgpStage.morsels.Add(int64(len(morsels)))
-	}
-
-	outs := make([]chan []binding, len(morsels))
-	for i := range outs {
-		outs[i] = make(chan []binding, 2)
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		stopOnce sync.Once
-		stopped  = make(chan struct{})
-		wg       sync.WaitGroup
-	)
-	halt := func() {
-		stop.Store(true)
-		stopOnce.Do(func() { close(stopped) })
-	}
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ec.workerEnter()
-			defer ec.workerExit()
-			wk := &bgpWalker{sh: sh, undos: make([]undoList, len(sh.order))}
-			base := b.clone()
-			for !stop.Load() {
-				k := int(next.Add(1) - 1)
-				if k >= len(morsels) {
-					return
-				}
-				sh.processMorsel(wk, base, rp, morsels[k], outs[k], stopped, &stop)
-			}
-		}()
-	}
-
-	// Merge: drain the per-morsel channels strictly in morsel order, so
-	// emission order equals the order of one serial scan over the same
-	// snapshot. Bounded channels give backpressure; a consumer stop
-	// closes `stopped`, which unblocks any worker mid-send.
-	ok := true
-merge:
-	for _, ch := range outs {
-		for chunk := range ch {
-			for _, row := range chunk {
-				if !yield(row) {
-					ok = false
-					halt()
-					break merge
-				}
-			}
-		}
-	}
-	halt()
-	wg.Wait()
-	// Workers close the morsels they claimed; release the rest.
-	claimed := int(next.Load())
-	if claimed > len(morsels) {
-		claimed = len(morsels)
-	}
-	for _, m := range morsels[claimed:] {
-		m.Close()
-	}
-	if ec.guard.Err() != nil {
-		return false
-	}
-	return ok
-}
-
-// processMorsel runs the serial join pipeline over one morsel of the
-// first step's scan, batching completed rows to the merger. It always
-// closes the morsel cursor and its output channel.
-func (sh *bgpShared) processMorsel(wk *bgpWalker, base binding, rp *resolvedPattern, cur *store.Cursor, out chan<- []binding, stopped <-chan struct{}, stop *atomic.Bool) {
-	defer close(out)
-	defer cur.Close()
-	ec := sh.ec
-	pst := sh.stepStat(0)
-	chunk := make([]binding, 0, emitChunkRows)
-	flush := func() bool {
-		if len(chunk) == 0 {
-			return true
-		}
-		select {
-		case out <- chunk:
-			chunk = make([]binding, 0, emitChunkRows)
-			return true
-		case <-stopped:
-			return false
-		}
-	}
-	wk.emit = func(row binding) bool {
-		chunk = append(chunk, row.clone())
-		if len(chunk) < emitChunkRows {
-			return true
-		}
-		return flush()
-	}
-	var undo undoList
-	// Profiling counts into locals, flushed in one atomic per morsel.
-	var scanned, emitted int64
-	defer func() {
-		pst.addTicks(scanned)
-		pst.addRows(emitted)
-	}()
-	for {
-		if stop.Load() {
-			return
-		}
-		q, more := cur.Next()
-		if !more {
-			break
-		}
-		if !ec.rowVisible(q) {
-			continue
-		}
-		// Tick per row exactly like (*execCtx).scan does serially.
-		if !ec.guard.tick() {
-			return
-		}
-		scanned++
-		if !rp.matchesGraphCtx(q) {
-			continue
-		}
-		if !rp.bindQuad(base, q, &undo) {
-			continue
-		}
-		emitted++
-		cont := wk.step(1, base)
-		undo.revert(base)
-		if !cont {
-			return
-		}
-	}
-	flush()
+	return ec.view.Cursor(p)
 }
 
 // parallelHashBuild populates hs.table from a partitioned snapshot of
@@ -361,7 +171,7 @@ func (ec *execCtx) parallelHashBuild(rp *resolvedPattern, hs *hashState, pst *pr
 				if !more {
 					break
 				}
-				if !ec.rowVisible(q) {
+				if !ec.visible(q) {
 					continue
 				}
 				pending++

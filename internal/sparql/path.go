@@ -245,7 +245,7 @@ func (o *pathOp) expandFrontier(ec *execCtx, b binding, frontier []store.ID, rev
 func (o *pathOp) step(ec *execCtx, b binding, p Path, node store.ID, reverse bool) ([]store.ID, error) {
 	switch x := p.(type) {
 	case PathIRI:
-		pid := ec.st.Dict().Lookup(x.IRI)
+		pid := ec.view.Dict().Lookup(x.IRI)
 		if pid == store.NoID {
 			return nil, nil
 		}
@@ -333,7 +333,7 @@ func innerOf(p Path) (inner Path, min, max int) {
 func (o *pathOp) applyGraph(ec *execCtx, b binding, pat *store.Pattern) {
 	switch o.g.kind {
 	case GraphTerm:
-		pat.G = ec.st.Dict().Lookup(o.g.term)
+		pat.G = ec.view.Dict().Lookup(o.g.term)
 	case GraphVar:
 		if b[o.g.slot] != store.NoID {
 			pat.G = b[o.g.slot]

@@ -2,7 +2,7 @@ package sparql
 
 // Vectorized batch-at-a-time execution (DESIGN.md §15).
 //
-// The row-at-a-time pipeline pays an interface dispatch, a guard tick
+// A row-at-a-time pipeline pays an interface dispatch, a guard tick
 // and (when profiling) counter flushes per binding; at the paper's
 // path-counting scale (EQ11d folds ~10^6 intermediate rows into one
 // COUNT) that per-row overhead dominates the join work itself. The
@@ -10,28 +10,26 @@ package sparql
 // vectors through the BGP instead:
 //
 //   - Scans pull contiguous runs from the store's batched scan API
-//     (store.ScanBatch / Cursor.NextBatch) and bind whole runs in tight
-//     loops; the guard is charged once per run via tickN, and profile
-//     counters accumulate in locals flushed once per scan.
+//     (ReadView.ScanBatch / Cursor.NextBatch) and bind whole runs in
+//     tight loops; the guard is charged once per run via tickN, and
+//     profile counters accumulate in locals flushed once per scan.
 //   - Joins advance depth-by-depth over batches: all rows of a batch
 //     are probed (or scanned) at one join step before the output batch
-//     recurses, and an output batch recurses as soon as it fills. This
-//     preserves the serial walker's exact depth-first emission order:
-//     outputs are appended in input-row order at every depth and each
+//     recurses, and an output batch recurses as soon as it fills.
+//     Outputs are appended in input-row order at every depth and each
 //     full batch is drained to emission before the next is built, so
-//     the leaf emission sequence is the DFS sequence.
+//     the leaf emission sequence is the depth-first join order.
 //   - Filters apply as selection vectors: a batch is compacted in
 //     place, surviving rows copied down, instead of materializing
 //     per-row bindings.
 //
-// The BGP is the vectorized operator; everything else adapts at the
-// boundary. A colBatch carries its input binding (base) plus one ID
-// column per variable slot the BGP touches, so any consumer can
-// materialize rows on demand — evalSelect consumes batches directly
-// (including a columnar COUNT fast path), while non-batch-aware
-// operator shapes simply keep the row pipeline (ec.vectorized gates
-// the whole path, and Engine.DisableVectorized restores the old
-// executor for ablations).
+// The BGP is the vectorized operator and this is its only executor;
+// everything else adapts at the boundary. A colBatch carries its input
+// binding (base) plus one ID column per variable slot the BGP touches,
+// so any consumer can materialize rows on demand — evalSelect consumes
+// a plan's vectorized tail directly (including a columnar COUNT fast
+// path), while row operators (OPTIONAL, UNION, MINUS, EXISTS) reach
+// their inner BGPs through bgpOp.apply, which unbatches.
 
 import (
 	"sync"
@@ -62,15 +60,19 @@ const vecRampStart = 64
 // (shrink n, move rows down) but must not grow it.
 type colBatch struct {
 	base  binding
-	slots []int         // slots with a column, in binding order
-	cols  [][]store.ID  // indexed by slot; nil = slot not columnar
-	n     int           // rows
+	slots []int        // slots with a column, in binding order
+	cols  [][]store.ID // indexed by slot; nil = slot not columnar
+	n     int          // rows
 }
 
+// newColBatch returns an empty batch with columns sized for the
+// adaptive ramp's first step (vecRampStart rows); vecExec.grow resizes
+// them to full batches only once a scan outgrows that, so point lookups
+// never pay for 1024-row columns.
 func newColBatch(width int, slots []int) *colBatch {
 	cb := &colBatch{slots: slots, cols: make([][]store.ID, width)}
 	for _, s := range slots {
-		cb.cols[s] = make([]store.ID, 0, batchRows)
+		cb.cols[s] = make([]store.ID, 0, vecRampStart)
 	}
 	return cb
 }
@@ -148,15 +150,27 @@ func (p *queryProfile) instrumentBatch(sid int, src batchSource) batchSource {
 	}
 }
 
-// passFilters evaluates a filter list against one materialized row.
-func passFilters(ec *execCtx, filters []*filterOp, b binding) bool {
-	for _, f := range filters {
-		v, err := evalBool(ec, f.cond, b)
-		if err != nil || !v {
-			return false
+// selectRows compacts the batch in place to the rows passing every
+// filter — a selection vector. scratch must hold the base values; each
+// row's columns are written over it in turn.
+func (cb *colBatch) selectRows(ec *execCtx, filters []*filterOp, scratch binding) {
+	w := 0
+rows:
+	for i := 0; i < cb.n; i++ {
+		cb.writeCols(i, scratch)
+		for _, f := range filters {
+			if v, err := evalBool(ec, f.cond, scratch); err != nil || !v {
+				continue rows
+			}
 		}
+		if w != i {
+			for _, s := range cb.slots {
+				cb.cols[s][w] = cb.cols[s][i]
+			}
+		}
+		w++
 	}
-	return true
+	cb.n = w
 }
 
 // ---------------------------------------------------------------------
@@ -164,10 +178,10 @@ func passFilters(ec *execCtx, filters []*filterOp, b binding) bool {
 // ---------------------------------------------------------------------
 
 // vecExec drives one BGP input binding through the join tree
-// batch-at-a-time. It is the batch counterpart of bgpWalker: the plan
-// (which slots are columnar at each depth) is derived from the input
-// binding's boundness mask and rebuilt only when the mask changes, so
-// repeated input bindings reuse every buffer.
+// batch-at-a-time. The plan (which slots are columnar at each depth) is
+// derived from the input binding's boundness mask and rebuilt only when
+// the mask changes, so repeated input bindings — and repeated
+// applications of its operator (bgpRun) — reuse every buffer.
 type vecExec struct {
 	sh    *bgpShared
 	width int
@@ -258,42 +272,27 @@ func (vx *vecExec) run(b binding) bool {
 	return vx.step(0, vx.unit)
 }
 
-// grow raises the adaptive batch cap after a flush.
+// grow raises the adaptive batch cap after a flush, sizing every
+// depth's columns for full batches the first time the cap leaves the
+// ramp's first step (rows already buffered are kept).
 func (vx *vecExec) grow() {
-	if vx.cap < batchRows {
-		vx.cap *= 4
-		if vx.cap > batchRows {
-			vx.cap = batchRows
-		}
+	if vx.cap >= batchRows {
+		return
 	}
-}
-
-// selectRows compacts in to the rows passing the depth's entry filters
-// (the selection-vector form of the row walker's filterAt check).
-func (vx *vecExec) selectRows(depth int, in *colBatch, filters []*filterOp) {
-	ec := vx.sh.ec
-	scratch := vx.scratch[depth]
-	w := 0
-	for i := 0; i < in.n; i++ {
-		in.writeCols(i, scratch)
-		if !passFilters(ec, filters, scratch) {
-			continue
-		}
-		if w != i {
-			for _, s := range in.slots {
-				in.cols[s][w] = in.cols[s][i]
+	vx.cap = min(vx.cap*4, batchRows)
+	for _, ob := range vx.out {
+		for _, s := range ob.slots {
+			if col := ob.cols[s]; cap(col) < batchRows {
+				ob.cols[s] = append(make([]store.ID, 0, batchRows), col...)
 			}
 		}
-		w++
 	}
-	in.n = w
 }
 
 // step processes one input batch at a join depth, appending results to
 // the depth's output batch and draining it to the next depth whenever
-// it fills — the batch counterpart of bgpWalker.step. It returns false
-// when the consumer stopped or the guard tripped; filtered-out or
-// non-matching rows are simply skipped.
+// it fills. It returns false when the consumer stopped or the guard
+// tripped; filtered-out or non-matching rows are simply skipped.
 func (vx *vecExec) step(depth int, in *colBatch) bool {
 	sh := vx.sh
 	ec := sh.ec
@@ -303,7 +302,7 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 		return false
 	}
 	if filters := sh.filterAt[depth]; len(filters) > 0 {
-		vx.selectRows(depth, in, filters)
+		in.selectRows(ec, filters, vx.scratch[depth])
 	}
 	if in.n == 0 {
 		return true
@@ -318,10 +317,9 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	out := vx.out[depth]
 	seen := sh.inputSeen[depth].Add(int64(in.n))
 
-	// The adaptive NLJ→hash switch, decided once per input batch. The
-	// switch point can differ from the row walker's by up to one batch;
-	// both access paths emit rows in identical order, so the output is
-	// unaffected (DESIGN.md §10).
+	// The adaptive NLJ→hash switch, decided once per input batch. Both
+	// access paths emit rows in identical order, so the switch point
+	// never shows in the output (DESIGN.md §10).
 	if !hs.built.Load() && !ec.noHashJoin && seen > int64(ec.hashMin) &&
 		rp.estConst < 64*int(seen) {
 		in.writeCols(0, scratch)
@@ -354,16 +352,13 @@ func (vx *vecExec) step(depth int, in *colBatch) bool {
 	for i := 0; i < in.n; i++ {
 		in.writeCols(i, scratch)
 		stop := false
-		ec.st.ScanBatch(rp.boundPattern(scratch), batchRows, func(run []store.IDQuad) bool {
+		ec.view.ScanBatch(rp.boundPattern(scratch), batchRows, func(run []store.IDQuad) bool {
 			for _, q := range run {
-				if !ec.quadVisible(q) {
+				if !ec.visible(q) {
 					continue
 				}
 				scanned++
 				pending++
-				if !rp.matchesGraphCtx(q) {
-					continue
-				}
 				if !rp.bindQuad(scratch, q, &vx.undo[depth]) {
 					continue
 				}
@@ -426,8 +421,7 @@ func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *
 		}
 		//pgrdfvet:ignore guardedby -- table is immutable after built.Store(true); the caller's built.Load() is the publication barrier
 		for _, q := range hs.table[key] {
-			// Non-key bound positions are validated by bindQuad, like
-			// the row walker's probe loop.
+			// Non-key bound positions are validated by bindQuad.
 			if !rp.bindQuad(scratch, q, &vx.undo[depth]) {
 				continue
 			}
@@ -475,9 +469,7 @@ func (vx *vecExec) probeBatch(depth int, in *colBatch, rp *resolvedPattern, hs *
 func (vx *vecExec) emitBatch(in *colBatch) bool {
 	sh := vx.sh
 	if len(sh.finalFilters) > 0 {
-		vx.selectRows(len(sh.order), in, sh.finalFilters)
-		// selectRows ran the final filters; re-running filterAt at this
-		// depth is step's job, which already happened.
+		in.selectRows(sh.ec, sh.finalFilters, vx.scratch[len(sh.order)])
 	}
 	if in.n == 0 {
 		return true
@@ -485,15 +477,18 @@ func (vx *vecExec) emitBatch(in *colBatch) bool {
 	return vx.emit(in)
 }
 
-// applyBatch is the vectorized form of bgpOp.apply: same shared state,
-// same parallel fan-out decision per input binding, batch emission.
+// applyBatch is the one BGP executor: per input binding it fans the
+// first join step out to morsel workers when the scan is large enough,
+// and otherwise runs the operator's serial batch executor.
 func (o *bgpOp) applyBatch(ec *execCtx, in source) batchSource {
 	return func(yield func(*colBatch) bool) error {
-		sh, ok := o.newShared(ec)
-		if !ok {
+		r := ec.bgps.take(ec, o)
+		defer ec.bgps.put(o, r)
+		sh := r.sh
+		if sh == nil {
 			return nil
 		}
-		var vx *vecExec
+		r.vx.emit = yield
 		err := in(func(b binding) bool {
 			if sh.bgpStage != nil {
 				sh.bgpStage.rowsIn.Add(1)
@@ -503,10 +498,7 @@ func (o *bgpOp) applyBatch(ec *execCtx, in source) batchSource {
 					return cont
 				}
 			}
-			if vx == nil {
-				vx = newVecExec(sh, len(b), yield)
-			}
-			return vx.run(b)
+			return r.vx.run(b)
 		})
 		sh.foldStepStats()
 		if err == nil && ec.guard != nil {
@@ -516,13 +508,64 @@ func (o *bgpOp) applyBatch(ec *execCtx, in source) batchSource {
 	}
 }
 
+// bgpRun is one application slot of a BGP operator within a query: the
+// operator's resolved plan and join state (bgpShared, whose counters
+// and hash tables reset per application) and its serial batch
+// executor. OPTIONAL, UNION, MINUS and EXISTS re-apply their inner
+// BGPs once per outer row; keeping the slot for the query's lifetime
+// keeps planning and the executor's per-depth columns from being
+// redone for every row.
+type bgpRun struct {
+	sh *bgpShared // nil when a constant term is missing: no solutions
+	vx *vecExec
+}
+
+// bgpPool holds the bgpRuns of a query's BGP operators: a free list per
+// operator, not a single slot, because morsel workers may apply the
+// same EXISTS pipeline concurrently.
+type bgpPool struct {
+	mu sync.Mutex
+	//pgrdf:guardedby mu
+	free map[*bgpOp][]*bgpRun
+}
+
+// take returns an idle run of o, planning a new one when none is free.
+func (p *bgpPool) take(ec *execCtx, o *bgpOp) *bgpRun {
+	p.mu.Lock()
+	if fl := p.free[o]; len(fl) > 0 {
+		r := fl[len(fl)-1]
+		p.free[o] = fl[:len(fl)-1]
+		p.mu.Unlock()
+		if r.sh != nil {
+			r.sh.reset(ec)
+		}
+		return r
+	}
+	p.mu.Unlock()
+	r := &bgpRun{}
+	if sh, ok := o.newShared(ec); ok {
+		r.sh, r.vx = sh, newVecExec(sh, len(ec.vt.names), nil)
+	}
+	return r
+}
+
+func (p *bgpPool) put(o *bgpOp, r *bgpRun) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.free == nil {
+		p.free = make(map[*bgpOp][]*bgpRun)
+	}
+	p.free[o] = append(p.free[o], r)
+}
+
 // ---------------------------------------------------------------------
 // Parallel morsels in batch form.
 // ---------------------------------------------------------------------
 
-// tryParallelBatch mirrors tryParallel for the vectorized driver: fan
-// the first join step's scan out to workers when it is big enough and
-// worker slots are free, emitting batches through the merge.
+// tryParallelBatch fans the first join step's scan out to morsel
+// workers when it is big enough and worker slots are free, emitting
+// batches through the merge. It reports handled=false otherwise, and
+// the caller runs the serial executor.
 func (sh *bgpShared) tryParallelBatch(b binding, yield func(*colBatch) bool) (handled, cont bool) {
 	ec := sh.ec
 	if len(sh.order) == 0 {
@@ -541,7 +584,7 @@ func (sh *bgpShared) tryParallelBatch(b binding, yield func(*colBatch) bool) (ha
 	pat := rp.boundPattern(b)
 	// Uncached estimate: bound patterns can carry per-query overlay IDs
 	// (VALUES/BIND terms), which must not leak into the shared cache.
-	if ec.st.EstimateCount(pat) < parallelScanMinRows {
+	if ec.view.EstimateCount(pat) < parallelScanMinRows {
 		return false, true
 	}
 	workers := ec.acquireWorkers(ec.parallelism)
@@ -717,16 +760,11 @@ func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedP
 			break
 		}
 		for _, q := range run {
-			// The snapshot pushed a single-model restriction into its
-			// pattern; rowVisible filters the multi-model case.
-			if !ec.rowVisible(q) {
+			if !ec.visible(q) {
 				continue
 			}
 			scanned++
 			pending++
-			if !rp.matchesGraphCtx(q) {
-				continue
-			}
 			if !rp.bindQuad(scratch, q, &vx.undo[0]) {
 				continue
 			}
@@ -769,6 +807,7 @@ func (sh *bgpShared) processMorselBatch(vx *vecExec, base binding, rp *resolvedP
 // filterBatch runs a FILTER as a selection vector over each batch:
 // survivors are compacted down in place, empty batches are dropped.
 func (o *filterOp) filterBatch(ec *execCtx, in batchSource) batchSource {
+	filters := []*filterOp{o}
 	var scratch binding
 	return func(yield func(*colBatch) bool) error {
 		return in(func(cb *colBatch) bool {
@@ -776,21 +815,7 @@ func (o *filterOp) filterBatch(ec *execCtx, in batchSource) batchSource {
 				scratch = make(binding, len(cb.base))
 			}
 			copy(scratch, cb.base)
-			w := 0
-			for i := 0; i < cb.n; i++ {
-				cb.writeCols(i, scratch)
-				v, err := evalBool(ec, o.cond, scratch)
-				if err != nil || !v {
-					continue
-				}
-				if w != i {
-					for _, s := range cb.slots {
-						cb.cols[s][w] = cb.cols[s][i]
-					}
-				}
-				w++
-			}
-			cb.n = w
+			cb.selectRows(ec, filters, scratch)
 			if cb.n == 0 {
 				return true
 			}
@@ -799,29 +824,31 @@ func (o *filterOp) filterBatch(ec *execCtx, in batchSource) batchSource {
 	}
 }
 
-// vectorTail returns the pipeline as a batch source when its tail can
-// run vectorized — the last operator shape the batch executor handles
-// is a BGP followed only by FILTERs; everything before the BGP runs as
-// the ordinary row pipeline feeding it. It returns nil when the plan
-// has no BGP, a non-filter operator follows the last one, or the
-// engine's vectorized executor is disabled — the caller then uses the
-// row pipeline unchanged.
-func vectorTail(ec *execCtx, ops []op, width int) batchSource {
-	if !ec.vectorized {
-		return nil
-	}
+// planBatches runs a plan as a batch source. When the plan's tail is a
+// BGP followed only by FILTERs, the tail stays in batches and
+// everything before the BGP runs as the row pipeline feeding it.
+// Otherwise the row pipeline's solutions (whose BGPs still run on the
+// batch executor, through bgpOp.apply) arrive as one-row batches.
+func planBatches(ec *execCtx, ops []op, width int) batchSource {
 	idx := -1
 	for i, o := range ops {
 		if _, ok := o.(*bgpOp); ok {
 			idx = i
 		}
 	}
-	if idx < 0 {
-		return nil
+	for i := idx + 1; idx >= 0 && i < len(ops); i++ {
+		if _, ok := ops[i].(*filterOp); !ok {
+			idx = -1
+		}
 	}
-	for _, o := range ops[idx+1:] {
-		if _, ok := o.(*filterOp); !ok {
-			return nil
+	if idx < 0 {
+		src := runPipeline(ec, ops, unitSource(width))
+		return func(yield func(*colBatch) bool) error {
+			cb := &colBatch{n: 1}
+			return src(func(b binding) bool {
+				cb.base = b
+				return yield(cb)
+			})
 		}
 	}
 	bgp := ops[idx].(*bgpOp)
@@ -863,11 +890,12 @@ func orderInsensitive(cp *compiled) bool {
 	return true
 }
 
-// groupSolutionsBatch is groupSolutions over a batch source: identical
-// groups and fold results, but with a columnar fast path for the
-// single-group COUNT shape (the paper's EQ11/EQ12 path- and
-// triangle-counting queries), which never materializes a row at all.
-func groupSolutionsBatch(ec *execCtx, cp *compiled, bs batchSource) ([]binding, error) {
+// groupSolutions folds each solution of bs into its group's aggregate
+// states, returning one representative binding per group with the
+// aggregate result slots filled. The single-group COUNT shape (the
+// paper's EQ11/EQ12 path- and triangle-counting queries) takes a
+// columnar fast path that never materializes a row at all.
+func groupSolutions(ec *execCtx, cp *compiled, bs batchSource) ([]binding, error) {
 	acc := newGroupAcc(ec, cp)
 
 	// COUNT-only single group: every aggregate needs at most a
@@ -898,18 +926,16 @@ func groupSolutionsBatch(ec *execCtx, cp *compiled, bs batchSource) ([]binding, 
 					continue
 				}
 				vs := agg.arg.(*exprSlot)
-				if vs.slot >= len(cb.cols) {
-					continue
-				}
-				if col := cb.cols[vs.slot]; col != nil {
-					for _, v := range col[:cb.n] {
+				if vs.slot < len(cb.cols) && cb.cols[vs.slot] != nil {
+					for _, v := range cb.cols[vs.slot][:cb.n] {
 						if v != store.NoID {
 							st.count++
 						}
 					}
 				} else if cb.base[vs.slot] != store.NoID {
 					// The slot is constant across the batch (bound by
-					// the input binding, not the BGP).
+					// the input binding, not the BGP; column-less
+					// batches carry every slot in base).
 					st.count += int64(cb.n)
 				}
 			}

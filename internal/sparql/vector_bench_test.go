@@ -6,14 +6,15 @@ import (
 	"repro/internal/store"
 )
 
-// Microbenchmark kernels comparing the row-at-a-time pipeline against
-// the vectorized batch executor on the three hot loops: raw pattern
-// scan, hash-table probe, and filter evaluation. Run via
+// Microbenchmark kernels for the batch executor, serial. Run via
 // `make bench-micro`.
 //
-// Each kernel is a COUNT query so the measured work is operator
-// execution, not result materialization; the row variant sets
-// DisableVectorized on an otherwise identical engine.
+// The first four are the hot loops of a BGP that is a plan's batch
+// tail: raw pattern scan, hash-table probe, index nested loop and
+// filter evaluation. The last three re-apply a BGP once per outer row —
+// the shapes where the row operators (OPTIONAL, UNION) reach inner
+// BGPs through bgpOp.apply — and guard what each application costs:
+// executor reuse, plan rebuilds, buffer allocation.
 
 // benchStore is built once and shared across kernels: a random
 // follows-graph big enough that scans span many batches.
@@ -26,69 +27,65 @@ func kernelStore(b *testing.B) *store.Store {
 	return benchStore
 }
 
-func runKernel(b *testing.B, q string, hashMin int) {
-	st := kernelStore(b)
-	for _, mode := range []struct {
-		name string
-		row  bool
-	}{{"row", true}, {"batch", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := NewEngine(st)
-			e.Parallelism = 1
-			e.DisableVectorized = mode.row
-			if hashMin != 0 {
-				e.HashJoinThreshold = hashMin
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Query("", testPrologue+q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+func runKernel(b *testing.B, q string, tune func(*Engine)) {
+	e := NewEngine(kernelStore(b))
+	e.Parallelism = 1
+	if tune != nil {
+		tune(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Query("", testPrologue+q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkScanKernel: single-pattern scan, the tightest loop — every
-// quad flows through quadVisible + bind + emit.
+// quad flows through the visibility check, bind and emit.
 func BenchmarkScanKernel(b *testing.B) {
-	runKernel(b, `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b }`, 0)
+	runKernel(b, `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b }`, nil)
 }
 
 // BenchmarkHashProbeKernel: two-hop join with the hash build forced on
 // early, so the inner loop is hash probes rather than index scans.
 func BenchmarkHashProbeKernel(b *testing.B) {
-	runKernel(b, `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`, 16)
+	runKernel(b, `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`,
+		func(e *Engine) { e.HashJoinThreshold = 16 })
 }
 
 // BenchmarkNestedLoopKernel: the same two-hop join with hash joins
 // disabled — measures the batched bound-pattern rescan path.
 func BenchmarkNestedLoopKernel(b *testing.B) {
-	st := kernelStore(b)
-	q := `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`
-	for _, mode := range []struct {
-		name string
-		row  bool
-	}{{"row", true}, {"batch", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := NewEngine(st)
-			e.Parallelism = 1
-			e.DisableVectorized = mode.row
-			e.DisableHashJoin = true
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Query("", testPrologue+q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	runKernel(b, `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . ?b rel:follows ?c }`,
+		func(e *Engine) { e.DisableHashJoin = true })
 }
 
 // BenchmarkFilterKernel: scan plus a cheap predicate — measures the
-// selection-vector compaction against per-row filter dispatch.
+// selection-vector compaction.
 func BenchmarkFilterKernel(b *testing.B) {
-	runKernel(b, `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . FILTER(?a != ?b) }`, 0)
+	runKernel(b, `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b . FILTER(?a != ?b) }`, nil)
+}
+
+// BenchmarkOptionalPerRowKernel: an OPTIONAL whose two-pattern inner BGP
+// is re-applied for each of the 16k outer rows.
+func BenchmarkOptionalPerRowKernel(b *testing.B) {
+	runKernel(b, `SELECT (COUNT(?c) AS ?n) WHERE { ?a rel:follows ?b
+		OPTIONAL { ?b rel:follows ?c . ?c rel:follows ?a } }`, nil)
+}
+
+// BenchmarkUnionBehindBGPKernel: a UNION after a BGP, so both
+// single-pattern branches run once per outer row.
+func BenchmarkUnionBehindBGPKernel(b *testing.B) {
+	runKernel(b, `SELECT (COUNT(*) AS ?n) WHERE { ?a rel:follows ?b
+		{ ?b rel:follows ?c } UNION { ?c rel:follows ?b } }`, nil)
+}
+
+// BenchmarkPointLookupOptionalKernel: one vertex's neighbours with an
+// OPTIONAL second hop — a small query where fixed per-query and
+// per-application costs dominate.
+func BenchmarkPointLookupOptionalKernel(b *testing.B) {
+	runKernel(b, `SELECT ?b ?c WHERE { <http://pg/v7> rel:follows ?b
+		OPTIONAL { ?b rel:follows ?c } }`, nil)
 }

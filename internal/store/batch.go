@@ -80,24 +80,13 @@ func (ix *Index) ScanBatch(p Pattern, dead map[IDQuad]struct{}, max int, fn func
 	return ix.ScanRangeBatch(RowRange{Lo: lo, Hi: hi}, p, dead, max, fn)
 }
 
-// ScanBatch calls fn with runs of at most max quads matching the
-// pattern (max <= 0 means DefaultBatchRows), choosing the best index
-// automatically. It visits exactly the rows Scan visits, in the same
-// order: sorted index rows first (tombstones skipped), then the
-// unmerged delta buffer. Index runs are zero-copy subslices valid only
-// during the callback; delta rows are staged through a scratch buffer
-// that is reused between callbacks, so fn must not retain its argument
-// either way. fn returning false stops the scan.
+// scanBatchLocked is ReadView.ScanBatch's body.
 //
-// When a FaultInjector is installed the scan degrades to the row path
-// internally (the injector observes individual rows), preserving
-// per-row fault semantics at batch-call granularity.
-func (s *Store) ScanBatch(p Pattern, max int, fn func([]IDQuad) bool) {
+//pgrdf:locks mu
+func (s *Store) scanBatchLocked(p Pattern, max int, fn func([]IDQuad) bool) {
 	if max <= 0 {
 		max = DefaultBatchRows
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if s.fault.Load() != nil {
 		s.scanBatchFaultLocked(p, max, fn)
 		return

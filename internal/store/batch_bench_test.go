@@ -32,7 +32,7 @@ func BenchmarkScanBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		s.ScanBatch(AnyPattern(), DefaultBatchRows, func(run []IDQuad) bool {
+		scanBatch(s, AnyPattern(), DefaultBatchRows, func(run []IDQuad) bool {
 			n += len(run)
 			return true
 		})

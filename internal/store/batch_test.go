@@ -18,11 +18,18 @@ func collectScan(s *Store, p Pattern) []IDQuad {
 	return out
 }
 
+// scanBatch runs one batched scan through a read view.
+func scanBatch(s *Store, p Pattern, max int, fn func([]IDQuad) bool) {
+	v := s.ReadView()
+	defer v.Release()
+	v.ScanBatch(p, max, fn)
+}
+
 // collectScanBatch drains a batched scan, copying each run (the runs
 // are only valid during the callback).
 func collectScanBatch(s *Store, p Pattern, max int) []IDQuad {
 	var out []IDQuad
-	s.ScanBatch(p, max, func(run []IDQuad) bool {
+	scanBatch(s, p, max, func(run []IDQuad) bool {
 		out = append(out, run...)
 		return true
 	})
@@ -110,7 +117,7 @@ func TestScanBatchEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls, rows := 0, 0
-	s.ScanBatch(AnyPattern(), 64, func(run []IDQuad) bool {
+	scanBatch(s, AnyPattern(), 64, func(run []IDQuad) bool {
 		calls++
 		rows += len(run)
 		return calls < 2
@@ -226,7 +233,7 @@ func TestScanBatchUnderFaultInjector(t *testing.T) {
 	}
 	// Early stop through the fault bridge.
 	calls := 0
-	s.ScanBatch(AnyPattern(), 64, func(run []IDQuad) bool {
+	scanBatch(s, AnyPattern(), 64, func(run []IDQuad) bool {
 		calls++
 		return false
 	})

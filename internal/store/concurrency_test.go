@@ -56,7 +56,9 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					t.Error("scan found nothing despite seeded data")
 					return
 				}
-				_ = s.EstimateCount(p)
+				v := s.ReadView()
+				_ = v.EstimateCount(p)
+				v.Release()
 				_, _ = s.Stats()
 			}
 		}()

@@ -30,13 +30,18 @@ type Cursor struct {
 // key order of the index chosen for the pattern (delta rows follow the
 // indexed rows). The caller must Close it.
 func (s *Store) Cursor(p Pattern) *Cursor {
-	var rows []IDQuad
 	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.cursorLocked(p)
+}
+
+//pgrdf:locks mu
+func (s *Store) cursorLocked(p Pattern) *Cursor {
+	var rows []IDQuad
 	s.scanLocked(p, func(q IDQuad) bool {
 		rows = append(rows, q)
 		return true
 	})
-	s.mu.RUnlock()
 	s.openCursors.Add(1)
 	return &Cursor{st: s, rows: rows}
 }

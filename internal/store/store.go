@@ -564,18 +564,14 @@ func (s *Store) chooseIndexLocked(p Pattern) *Index {
 	return best
 }
 
-// ChooseIndexByBound returns the spec of the index that would serve a
-// pattern whose bound columns are exactly cols: the index with the
-// longest key prefix covered by the bound set, ties broken by creation
-// order. Used for EXPLAIN-style plan reporting when concrete IDs are not
-// yet known.
-func (s *Store) ChooseIndexByBound(cols []Col) string {
+// chooseIndexByBoundLocked is ReadView.ChooseIndexByBound's body.
+//
+//pgrdf:locks mu
+func (s *Store) chooseIndexByBoundLocked(cols []Col) string {
 	var bound [numCols]bool
 	for _, c := range cols {
 		bound[c] = true
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	best, bestPrefix := s.indexes[0], -1
 	for _, ix := range s.indexes {
 		n := 0
@@ -655,12 +651,10 @@ func (s *Store) ScanIndex(spec string, p Pattern, fn func(IDQuad) bool) error {
 	return fmt.Errorf("store: no index %s", spec)
 }
 
-// EstimateCount estimates the number of quads matching the pattern using
-// the best index's bound-prefix range. It is an upper bound and costs
-// O(log n).
-func (s *Store) EstimateCount(p Pattern) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// estimateCountLocked is ReadView.EstimateCount's body.
+//
+//pgrdf:locks mu
+func (s *Store) estimateCountLocked(p Pattern) int {
 	n := s.chooseIndexLocked(p).EstimateCount(p)
 	if len(s.delta) > 0 {
 		for _, q := range s.delta {

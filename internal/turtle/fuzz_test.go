@@ -27,9 +27,9 @@ func FuzzParse(f *testing.F) {
 		"<http://a> <http://p> true, false .\n",
 		"@prefix : <http://x/> .\n:a :p ( :b :c ) .\n",
 		"@prefix ex: <http://x/> .\nex:a ex:p \"\\u00e9\" .\n",
-		"<a> <p>",   // truncated
-		"@prefix",   // truncated directive
-		"\"\"\"",    // unterminated long literal
+		"<a> <p>", // truncated
+		"@prefix", // truncated directive
+		"\"\"\"",  // unterminated long literal
 	}
 	for _, s := range seeds {
 		f.Add(s)

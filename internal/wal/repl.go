@@ -254,4 +254,3 @@ func ApplyBatch(st *store.Store, b Batch) error {
 func DecodeFrames(data []byte, yield func(seq uint64, b Batch) error) (consumed int64, lastSeq uint64, err error) {
 	return readRecords(bytes.NewReader(data), yield)
 }
-
