@@ -48,8 +48,9 @@ race:
 	$(GO) test -race ./...
 
 ## crash-recovery: the durability gate — the fault-injected WAL suite
-## (crash at every log byte in both checkpoint formats, torn-write
-## corpus, incremental-chain races) plus the binary-snapshot codec
+## (crash at every log byte over a binary checkpoint and over a legacy
+## text checkpoint.nq, torn-write corpus, incremental-chain races)
+## plus the binary-snapshot codec
 ## differential (binary vs text across index configs, corruption at
 ## every byte), all under the race detector. Part of `make check`; see
 ## DESIGN.md §12 and §16.
@@ -59,8 +60,9 @@ crash-recovery:
 
 ## repl-fault: the replication gate — a follower tailing through a
 ## proxy that drops, delays and truncates mid-frame, plus a leader
-## kill/restart, must converge to a byte-identical store. Part of
-## `make check`; see DESIGN.md §13.
+## kill/restart, must converge to a byte-identical store, and a binary
+## bootstrap body cut or bit-flipped anywhere must never be adopted.
+## Part of `make check`; see DESIGN.md §13.
 repl-fault:
 	$(GO) test -race -count=1 ./internal/repl
 

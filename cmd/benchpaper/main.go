@@ -42,7 +42,7 @@ func main() {
 	profileOverhead := flag.Bool("profileoverhead", false, "measure EQ1-EQ12 with vs without per-operator profiling and report the aggregate overhead")
 	maxOverhead := flag.Float64("maxoverhead", 0, "fail when -profileoverhead exceeds this percentage (0 = report only)")
 	explainAnalyze := flag.Bool("explainanalyze", false, "print EXPLAIN ANALYZE for every paper query on both schemes")
-	recoveryBench := flag.Bool("recoverybench", false, "measure checkpoint write/restore and log-tail replay on a ~1M-quad durability directory (BENCH_recovery.json)")
+	recoveryBench := flag.Bool("recoverybench", false, "measure checkpoint write/restore, log-tail replay and a replication bootstrap on a ~1M-quad durability directory (BENCH_recovery.json)")
 	recoveryQuads := flag.Int("recoveryquads", 1_000_000, "checkpoint size target in quads for -recoverybench")
 	recoveryTail := flag.Int("recoverytail", 10_000, "log-tail records to replay for -recoverybench")
 	flag.Parse()
@@ -55,26 +55,13 @@ func main() {
 	if *recoveryBench {
 		start := time.Now()
 		rep, err := bench.RecoveryBench(ctx, *recoveryQuads, *recoveryTail)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *out == "" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "recovery bench done in %s: %d quads, binary checkpoint write %.0fms restore %.0fms (text restore %.0fms, %.1fx), %d-record tail replay %.0fms, incremental fold %.0fms (%d B delta)\n",
+		exitOn(err)
+		writeReport(*out, rep)
+		fmt.Fprintf(os.Stderr, "recovery bench done in %s: %d quads, binary checkpoint write %.0fms restore %.0fms (text restore %.0fms, %.1fx), %d-record tail replay %.0fms, incremental fold %.0fms (%d B delta), bootstrap binary %.0fms (text %.0fms, %.1fx)\n",
 			time.Since(start).Round(time.Millisecond), rep.Quads,
 			rep.CheckpointWriteMS, rep.CheckpointRestoreMS, rep.TextRestoreMS, rep.RestoreSpeedup,
-			rep.TailRecords, rep.ReplayMS, rep.IncrCheckpointMS, rep.DeltaBytes)
+			rep.TailRecords, rep.ReplayMS, rep.IncrCheckpointMS, rep.DeltaBytes,
+			rep.BootstrapBinaryMS, rep.BootstrapTextMS, rep.BootstrapSpeedup)
 		return
 	}
 
@@ -85,39 +72,19 @@ func main() {
 	fmt.Fprintf(os.Stderr, "generating dataset (%d egos) and loading NG + SP stores...\n", cfg.Egos)
 	start := time.Now()
 	env, err := bench.Setup(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchpaper:", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	fmt.Fprintf(os.Stderr, "setup done in %s (graph: %d nodes, %d edges; tag analogue %q on %d nodes)\n\n",
 		time.Since(start).Round(time.Millisecond), env.GraphStats.Vertices, env.GraphStats.Edges, env.Tag, env.TagNodeCount)
 
 	switch {
 	case *explainAnalyze:
 		txt, err := bench.ExplainAnalyzeAll(ctx, env)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		fmt.Print(txt)
 	case *profileOverhead:
 		rep, err := bench.ProfileOverhead(ctx, env, *iters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *out == "" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
+		writeReport(*out, rep)
 		fmt.Fprintf(os.Stderr, "profiling overhead: %.2f%% (plain %.1fms, profiled %.1fms, best of %d)\n",
 			rep.OverheadPct, rep.PlainMS, rep.ProfiledMS, rep.Iters)
 		if *maxOverhead > 0 && rep.OverheadPct > *maxOverhead {
@@ -126,72 +93,21 @@ func main() {
 			os.Exit(1)
 		}
 	case *algoBench:
-		if *workers < 2 {
-			*workers = 2 // AlgoBench's own minimum
-		}
-		if procs := runtime.GOMAXPROCS(0); procs < *workers {
-			fmt.Fprintf(os.Stderr, "benchpaper: WARNING: GOMAXPROCS=%d < workers=%d; parallel timings on this host are not speedup evidence\n",
-				procs, *workers)
-			if *requireCores {
-				fmt.Fprintln(os.Stderr, "benchpaper: -require-cores set; refusing to write a report (rerun with -workers", procs, "or on a larger host)")
-				os.Exit(1)
-			}
-		}
+		checkCores(workers, *requireCores)
 		rep, err := bench.AlgoBench(ctx, env, *workers, *iters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
+		exitOn(err)
+		writeReport(*out, rep)
+		if *out != "" {
+			fmt.Fprintf(os.Stderr, "wrote %s (workers=%d, gomaxprocs=%d)\n", *out, rep.Workers, rep.GOMAXPROCS)
 		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *out == "" {
-			os.Stdout.Write(data)
-			return
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (workers=%d, gomaxprocs=%d)\n", *out, rep.Workers, rep.GOMAXPROCS)
 	case *parallelBench:
-		// Speedup numbers measured with fewer cores than workers are
-		// scheduler noise, not parallel speedups. Warn always; under
-		// -require-cores (the Makefile bench target) refuse to publish.
-		if *workers < 2 {
-			*workers = 2 // ParallelBench's own minimum
-		}
-		if procs := runtime.GOMAXPROCS(0); procs < *workers {
-			fmt.Fprintf(os.Stderr, "benchpaper: WARNING: GOMAXPROCS=%d < workers=%d; parallel timings on this host are not speedup evidence\n",
-				procs, *workers)
-			if *requireCores {
-				fmt.Fprintln(os.Stderr, "benchpaper: -require-cores set; refusing to write a report (rerun with -workers", procs, "or on a larger host)")
-				os.Exit(1)
-			}
-		}
+		checkCores(workers, *requireCores)
 		rep, err := bench.ParallelBench(ctx, env, *workers, *iters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
+		exitOn(err)
+		writeReport(*out, rep)
+		if *out != "" {
+			fmt.Fprintf(os.Stderr, "wrote %s (workers=%d, gomaxprocs=%d)\n", *out, rep.Workers, rep.GOMAXPROCS)
 		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *out == "" {
-			os.Stdout.Write(data)
-			return
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchpaper:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (workers=%d, gomaxprocs=%d)\n", *out, rep.Workers, rep.GOMAXPROCS)
 	case *table != "":
 		run(ctx, env, "table"+*table)
 	case *fig != "":
@@ -205,9 +121,44 @@ func main() {
 
 func run(ctx context.Context, env *bench.Env, id string) {
 	t, err := bench.Experiment(ctx, env, id)
+	exitOn(err)
+	fmt.Println(t.String())
+}
+
+// exitOn ends the run with status 1 when err is set.
+func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchpaper:", err)
 		os.Exit(1)
 	}
-	fmt.Println(t.String())
+}
+
+// writeReport writes rep as indented JSON to out, or to stdout when out
+// is empty.
+func writeReport(out string, rep any) {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	exitOn(err)
+	data = append(data, '\n')
+	if out == "" {
+		_, err = os.Stdout.Write(data)
+	} else {
+		err = os.WriteFile(out, data, 0o644)
+	}
+	exitOn(err)
+}
+
+// checkCores raises the worker budget to the parallel benches' minimum
+// of 2 and warns when GOMAXPROCS is below it: speedups measured with
+// fewer cores than workers are scheduler noise. Under -require-cores
+// (the Makefile bench targets) it refuses to publish instead.
+func checkCores(workers *int, require bool) {
+	*workers = max(*workers, 2)
+	if procs := runtime.GOMAXPROCS(0); procs < *workers {
+		fmt.Fprintf(os.Stderr, "benchpaper: WARNING: GOMAXPROCS=%d < workers=%d; parallel timings on this host are not speedup evidence\n",
+			procs, *workers)
+		if require {
+			fmt.Fprintln(os.Stderr, "benchpaper: -require-cores set; refusing to write a report (rerun with -workers", procs, "or on a larger host)")
+			os.Exit(1)
+		}
+	}
 }

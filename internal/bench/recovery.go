@@ -1,29 +1,38 @@
 package bench
 
-// Recovery benchmark (ISSUE 5 acceptance): time writing a ~1M-quad
-// checkpoint, restoring it, and replaying a log tail on top — the two
-// halves of wal.Open's crash-recovery path. Emitted as
-// BENCH_recovery.json by `benchpaper -recoverybench`.
+// Recovery benchmark: time writing a ~1M-quad checkpoint, restoring
+// it, and replaying a log tail on top — the two halves of wal.Open's
+// crash-recovery path — and bootstrapping a replication follower from
+// it. Emitted as BENCH_recovery.json by `benchpaper -recoverybench`.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
+	"strconv"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/pgrdf"
 	"repro/internal/rdf"
+	"repro/internal/repl"
 	"repro/internal/store"
 	"repro/internal/twitter"
 	"repro/internal/wal"
 )
 
 // RecoveryReport is the payload of BENCH_recovery.json. The unprefixed
-// checkpoint columns measure the default binary format; the text_
-// columns measure the legacy N-Quads format over the same store, and
-// RestoreSpeedup is the ratio between their restore times.
+// checkpoint columns measure the binary checkpoint format; the text_
+// columns time store.Snapshot / store.Restore of the same store in
+// memory, and RestoreSpeedup is the ratio between their restore times.
 type RecoveryReport struct {
+	Header
+
 	// Dataset shape.
 	Quads       int   `json:"quads"`
 	TailRecords int64 `json:"tail_records"`
@@ -38,8 +47,8 @@ type RecoveryReport struct {
 	TotalRecoveryMS     float64 `json:"total_recovery_ms"`
 	ReplayMS            float64 `json:"replay_ms"`
 
-	// Legacy text format over the same store, and the ratio of text to
-	// binary restore time.
+	// The text snapshot format over the same store, and the ratio of
+	// text to binary restore time.
 	TextCheckpointBytes   int64   `json:"text_checkpoint_bytes"`
 	TextCheckpointWriteMS float64 `json:"text_checkpoint_write_ms"`
 	TextRestoreMS         float64 `json:"text_restore_ms"`
@@ -51,6 +60,14 @@ type RecoveryReport struct {
 	IncrCheckpointMS float64 `json:"incr_checkpoint_ms"`
 	DeltaBytes       int64   `json:"delta_bytes"`
 	IncrRecoveryMS   float64 `json:"incr_recovery_ms"`
+
+	// Follower bootstrap of the same store over loopback: the leader's
+	// export plus the restore, for format=snapshot (streamed into
+	// store.Restore) and format=binary (read whole into
+	// store.RestoreBinary, as repl.Follower does).
+	BootstrapTextMS   float64 `json:"bootstrap_text_ms"`
+	BootstrapBinaryMS float64 `json:"bootstrap_binary_ms"`
+	BootstrapSpeedup  float64 `json:"bootstrap_speedup"`
 
 	// Derived rates.
 	RestoreQuadsPerSec float64 `json:"restore_quads_per_sec"`
@@ -94,17 +111,14 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 		return nil, err
 	}
 
-	rep := &RecoveryReport{TailRecords: int64(tailRecords)}
+	rep := &RecoveryReport{Header: NewHeader(), TailRecords: int64(tailRecords)}
 
-	// Load and checkpoint in both formats. SyncOff: the bench measures
+	// Load and checkpoint, time the text format over the same store,
+	// and bootstrap follower copies of it. SyncOff: the bench measures
 	// recovery, not fsync latency, and keeps CI runtime flat across
-	// disk types. The text leg checkpoints the same loaded store into a
-	// sibling directory so both formats snapshot identical data.
-	textDir, err := os.MkdirTemp("", "pgrdf-recoverybench-text-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(textDir)
+	// disk types. The GC runs before every timed restore so one leg's
+	// garbage (a whole store image per snapshot or restore) is not
+	// collected on another leg's clock.
 	err = withLog(dir, func(st *store.Store, l *wal.Log) error {
 		if _, err := pgrdf.LoadPartitioned(st, ds, "pg"); err != nil {
 			return err
@@ -117,15 +131,39 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 		rep.CheckpointWriteMS = msSince(start)
 		rep.CheckpointBytes = l.Stats().LastCheckpointBytes
 
-		return withTextLog(textDir, func(_ *store.Store, tl *wal.Log) error {
-			start := time.Now()
-			if err := tl.Checkpoint(st); err != nil {
-				return fmt.Errorf("recoverybench: text checkpoint: %w", err)
+		var text bytes.Buffer
+		start = time.Now()
+		if err := st.Snapshot(&text); err != nil {
+			return fmt.Errorf("recoverybench: text snapshot: %w", err)
+		}
+		rep.TextCheckpointWriteMS = msSince(start)
+		rep.TextCheckpointBytes = int64(text.Len())
+		runtime.GC()
+		start = time.Now()
+		copied, err := store.Restore(&text)
+		if err != nil {
+			return fmt.Errorf("recoverybench: text restore: %w", err)
+		}
+		rep.TextRestoreMS = msSince(start)
+		if copied.Len() != rep.Quads {
+			return fmt.Errorf("recoverybench: text restore got %d quads, want %d", copied.Len(), rep.Quads)
+		}
+
+		h := httpapi.NewServer(st)
+		h.AttachWAL(l)
+		srv := httptest.NewServer(h)
+		defer srv.Close()
+		if rep.BootstrapTextMS, err = bootstrapMS(srv.URL, "snapshot", store.Restore); err != nil {
+			return err
+		}
+		rep.BootstrapBinaryMS, err = bootstrapMS(srv.URL, "binary", func(r io.Reader) (*store.Store, error) {
+			data, err := io.ReadAll(r)
+			if err != nil {
+				return nil, err
 			}
-			rep.TextCheckpointWriteMS = msSince(start)
-			rep.TextCheckpointBytes = tl.Stats().LastCheckpointBytes
-			return nil
+			return store.RestoreBinary(data)
 		})
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -136,10 +174,7 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 
 	// Phase 1: reopen with an empty log — pure checkpoint restore —
 	// then journal the tail: single-insert commits into the node-KV
-	// partition, exactly what the serve path writes per update. The GC
-	// runs before every timed open so one leg's garbage (a whole store
-	// image per snapshot or restore) is not collected on another leg's
-	// clock.
+	// partition, exactly what the serve path writes per update.
 	runtime.GC()
 	start := time.Now()
 	err = withLog(dir, func(st *store.Store, l *wal.Log) error {
@@ -220,21 +255,6 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 		return nil, err
 	}
 
-	// Text leg last: its restore is an order of magnitude slower than
-	// every binary phase, so it gets the tail of the run.
-	runtime.GC()
-	start = time.Now()
-	err = withTextLog(textDir, func(st *store.Store, _ *wal.Log) error {
-		rep.TextRestoreMS = msSince(start)
-		if st.Len() != rep.Quads {
-			return fmt.Errorf("recoverybench: text restore got %d quads, want %d", st.Len(), rep.Quads)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	rep.ReplayMS = rep.TotalRecoveryMS - rep.CheckpointRestoreMS
 	if rep.ReplayMS < 0 {
 		rep.ReplayMS = 0
@@ -247,6 +267,9 @@ func RecoveryBench(ctx context.Context, quadTarget int, tailRecords int) (*Recov
 	}
 	if rep.CheckpointRestoreMS > 0 {
 		rep.RestoreSpeedup = rep.TextRestoreMS / rep.CheckpointRestoreMS
+	}
+	if rep.BootstrapBinaryMS > 0 {
+		rep.BootstrapSpeedup = rep.BootstrapTextMS / rep.BootstrapBinaryMS
 	}
 	return rep, nil
 }
@@ -266,19 +289,26 @@ func withLog(dir string, fn func(*store.Store, *wal.Log) error) (err error) {
 	return fn(st, l)
 }
 
-// withTextLog is withLog with the legacy text checkpoint format — the
-// comparison leg of the bench.
-func withTextLog(dir string, fn func(*store.Store, *wal.Log) error) (err error) {
-	st, l, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff, Indexes: recoveryIndexes, TextCheckpoints: true})
+// bootstrapMS times one follower bootstrap from the leader at url: the
+// GET of /export in the given format plus restore, checked against the
+// leader's quad-count header.
+func bootstrapMS(url, format string, restore func(io.Reader) (*store.Store, error)) (float64, error) {
+	runtime.GC()
+	start := time.Now()
+	resp, err := http.Get(url + "/export?format=" + format)
 	if err != nil {
-		return err
+		return 0, fmt.Errorf("recoverybench: %s bootstrap: %w", format, err)
 	}
-	defer func() {
-		if cerr := l.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return fn(st, l)
+	defer resp.Body.Close()
+	st, err := restore(resp.Body)
+	if err != nil {
+		return 0, fmt.Errorf("recoverybench: %s bootstrap restore: %w", format, err)
+	}
+	ms := msSince(start)
+	if want := resp.Header.Get(repl.HeaderSnapshotQuads); strconv.Itoa(st.Len()) != want {
+		return 0, fmt.Errorf("recoverybench: %s bootstrap restored %d quads, leader sent %s", format, st.Len(), want)
+	}
+	return ms, nil
 }
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }

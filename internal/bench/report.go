@@ -2,8 +2,34 @@ package bench
 
 import (
 	"fmt"
+	"os/exec"
+	"runtime"
 	"strings"
 )
+
+// Header records what a BENCH_*.json report was measured with: the
+// commit under test, the Go toolchain, the machine's core count and the
+// scheduler's GOMAXPROCS.
+type Header struct {
+	Commit     string `json:"commit"`
+	GoVersion  string `json:"go_version"`
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// NewHeader describes the running process. The commit is git's HEAD in
+// the working directory, suffixed "+dirty" when tracked files differ
+// from it, or "unknown" outside a git checkout.
+func NewHeader() Header {
+	commit := "unknown"
+	if head, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(head))
+		if dirty, _ := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); len(dirty) > 0 {
+			commit += "+dirty"
+		}
+	}
+	return Header{Commit: commit, GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+}
 
 // Table is one regenerated table or figure: a header, measured rows and
 // optional per-row paper reference values for side-by-side comparison.

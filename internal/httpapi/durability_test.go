@@ -144,17 +144,16 @@ func TestCheckpointIncrementalEndpoint(t *testing.T) {
 		t.Fatalf("incremental checkpoint status %d", resp.StatusCode)
 	}
 	var out struct {
-		WalRecords             int64  `json:"walRecords"`
-		CheckpointFormat       string `json:"checkpointFormat"`
-		FullCheckpoints        int64  `json:"fullCheckpoints"`
-		IncrementalCheckpoints int64  `json:"incrementalCheckpoints"`
-		DeltaChainLen          int64  `json:"deltaChainLen"`
-		DeltaChainBytes        int64  `json:"deltaChainBytes"`
+		WalRecords             int64 `json:"walRecords"`
+		FullCheckpoints        int64 `json:"fullCheckpoints"`
+		IncrementalCheckpoints int64 `json:"incrementalCheckpoints"`
+		DeltaChainLen          int64 `json:"deltaChainLen"`
+		DeltaChainBytes        int64 `json:"deltaChainBytes"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.WalRecords != 0 || out.CheckpointFormat != "binary" ||
+	if out.WalRecords != 0 ||
 		out.FullCheckpoints != 1 || out.IncrementalCheckpoints != 1 ||
 		out.DeltaChainLen != 1 || out.DeltaChainBytes == 0 {
 		t.Fatalf("incremental checkpoint response: %+v", out)
@@ -222,6 +221,44 @@ func TestExportSnapshotRoundTrips(t *testing.T) {
 	}
 }
 
+// TestExportBinaryRoundTrips streams /export?format=binary into
+// store.RestoreAny and requires the text snapshot of the copy to match
+// the text export of the original byte for byte.
+func TestExportBinaryRoundTrips(t *testing.T) {
+	srv := testServer(t)
+	get := func(format string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/export?format=" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("format=%s status %d", format, resp.StatusCode)
+		}
+		return resp
+	}
+	bin := get("binary")
+	if ct := bin.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("content type %q", ct)
+	}
+	r, err := store.RestoreAny(bin.Body)
+	if err != nil {
+		t.Fatalf("restore of binary export: %v", err)
+	}
+	want, err := io.ReadAll(get("snapshot").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := r.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("binary export restores to a different store:\n got: %s\nwant: %s", got.Bytes(), want)
+	}
+}
+
 func TestExportUnknownFormatIs400(t *testing.T) {
 	srv := testServer(t)
 	resp, err := http.Get(srv.URL + "/export?format=xml")
@@ -252,7 +289,7 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"walBytes", "walRecords", "walSeq", "checkpoints", "replayedRecords", "tornBytesDropped",
-		"checkpointFormat", "fullCheckpoints", "incrementalCheckpoints", "deltaChainLen", "deltaChainBytes"} {
+		"fullCheckpoints", "incrementalCheckpoints", "deltaChainLen", "deltaChainBytes"} {
 		if _, ok := stats[k]; !ok {
 			t.Errorf("/stats lacks %q: %v", k, stats)
 		}

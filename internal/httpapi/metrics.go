@@ -160,6 +160,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.counter("pgrdf_repl_epoch_adoptions_total", "Leader checkpoints adopted without re-bootstrap.", fs.EpochAdoptions)
 		m.counter("pgrdf_repl_retry_errors_total", "Failed leader interactions retried with backoff.", fs.RetryErrors)
 		m.counter("pgrdf_repl_stale_rejected_total", "Reads refused with 503 for exceeding the staleness ceiling.", fs.StaleRejected)
+		m.family("pgrdf_repl_last_bootstrap_seconds", "Wall time of the most recent snapshot bootstrap (0 = none yet).", "gauge")
+		m.sample("pgrdf_repl_last_bootstrap_seconds", fmt.Sprintf("%g", fs.LastBootstrapMS/1000))
+		m.gauge("pgrdf_repl_last_bootstrap_bytes", "Snapshot body size of the most recent bootstrap.", fs.LastBootstrapBytes)
 	}
 
 	// Per-index rows and scan counters.

@@ -2,6 +2,8 @@ package httpapi
 
 import (
 	"bufio"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,8 +12,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/repl"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 func scrapeMetrics(t *testing.T, base string) string {
@@ -185,5 +190,81 @@ func TestPprofGatedByConfig(t *testing.T) {
 	defer on.Close()
 	if code := get(on.URL); code != http.StatusOK {
 		t.Errorf("pprof with EnablePprof: status = %d, want 200", code)
+	}
+}
+
+// TestMetricsFollowerReplication scrapes a follower that bootstrapped
+// from a WAL-attached leader: every pgrdf_repl_* family, including the
+// last-bootstrap gauges, is well-formed and agrees with /stats.
+func TestMetricsFollowerReplication(t *testing.T) {
+	st, l, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	lh := NewServer(st)
+	lh.AttachWAL(l)
+	leader := httptest.NewServer(lh)
+	t.Cleanup(leader.Close)
+	up, err := http.PostForm(leader.URL+"/update", url.Values{
+		"update": {`INSERT DATA { <http://a> <http://p> "1" . <http://b> <http://p> "2" }`}, "model": {"m"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, up.Body)
+	up.Body.Close()
+
+	f := repl.New(repl.Options{Leader: leader.URL, PollWait: 50 * time.Millisecond})
+	fh := NewServer(store.New())
+	fh.AttachFollower(f)
+	ctx, cancel := context.WithCancel(t.Context())
+	done := make(chan struct{})
+	go func() { defer close(done); f.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	if _, err := f.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(fh)
+	t.Cleanup(srv.Close)
+
+	samples := validateExposition(t, scrapeMetrics(t, srv.URL))
+	for _, name := range []string{
+		"pgrdf_repl_degraded", "pgrdf_repl_offset", "pgrdf_repl_epoch", "pgrdf_repl_bytes_behind",
+		"pgrdf_repl_records_behind", "pgrdf_repl_last_contact_seconds", "pgrdf_repl_applied_records_total",
+		"pgrdf_repl_divergences_total", "pgrdf_repl_epoch_adoptions_total", "pgrdf_repl_retry_errors_total",
+		"pgrdf_repl_stale_rejected_total",
+	} {
+		if _, ok := samples[name]; !ok {
+			t.Errorf("scrape is missing %s", name)
+		}
+	}
+	if got := samples["pgrdf_repl_bootstraps_total"]; got != 1 {
+		t.Errorf("pgrdf_repl_bootstraps_total = %v, want 1", got)
+	}
+	if got := samples["pgrdf_repl_last_bootstrap_seconds"]; got <= 0 {
+		t.Errorf("pgrdf_repl_last_bootstrap_seconds = %v, want > 0", got)
+	}
+	fs := f.Status()
+	if got := samples["pgrdf_repl_last_bootstrap_bytes"]; got <= 0 || got != float64(fs.LastBootstrapBytes) {
+		t.Errorf("pgrdf_repl_last_bootstrap_bytes = %v, want %d > 0", got, fs.LastBootstrapBytes)
+	}
+
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Repl struct {
+			Bootstraps         int64   `json:"bootstraps"`
+			LastBootstrapMS    float64 `json:"lastBootstrapMS"`
+			LastBootstrapBytes int64   `json:"lastBootstrapBytes"`
+		} `json:"repl"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if r := stats.Repl; r.Bootstraps != 1 || r.LastBootstrapMS <= 0 || r.LastBootstrapBytes != fs.LastBootstrapBytes {
+		t.Fatalf("/stats repl block: %+v, follower status %+v", r, fs)
 	}
 }

@@ -156,18 +156,21 @@ func TestWalTailEndpoint(t *testing.T) {
 		t.Fatalf("diverged body: %+v", d)
 	}
 
-	// Snapshot bootstrap responses carry the position and quad count.
-	sr, err := http.Get(srv.URL + "/export?format=snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Body.Close()
-	io.Copy(io.Discard, sr.Body)
-	if sr.Header.Get(repl.HeaderID) != d.Position.ID {
-		t.Fatalf("snapshot position ID %q != leader ID %q", sr.Header.Get(repl.HeaderID), d.Position.ID)
-	}
-	if sr.Header.Get(repl.HeaderSnapshotQuads) != "1" {
-		t.Fatalf("snapshot quads header = %q, want 1", sr.Header.Get(repl.HeaderSnapshotQuads))
+	// Snapshot bootstrap responses carry the position and quad count,
+	// in both snapshot formats.
+	for _, format := range []string{"snapshot", "binary"} {
+		sr, err := http.Get(srv.URL + "/export?format=" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, sr.Body)
+		sr.Body.Close()
+		if sr.Header.Get(repl.HeaderID) != d.Position.ID {
+			t.Fatalf("%s position ID %q != leader ID %q", format, sr.Header.Get(repl.HeaderID), d.Position.ID)
+		}
+		if sr.Header.Get(repl.HeaderSnapshotQuads) != "1" {
+			t.Fatalf("%s quads header = %q, want 1", format, sr.Header.Get(repl.HeaderSnapshotQuads))
+		}
 	}
 }
 

@@ -646,28 +646,29 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ws := s.wal.Stats()
 		fmt.Fprintf(w, `,"walBytes":%d,"walRecords":%d,"walSeq":%d,"checkpoints":%d,"checkpointErrors":%d,`+
 			`"lastCheckpointBytes":%d,"lastCheckpointSeconds":%g,"replayedRecords":%d,"tornBytesDropped":%d,`+
-			`"checkpointFormat":%q,"fullCheckpoints":%d,"incrementalCheckpoints":%d,"deltaChainLen":%d,"deltaChainBytes":%d`,
+			`"fullCheckpoints":%d,"incrementalCheckpoints":%d,"deltaChainLen":%d,"deltaChainBytes":%d`,
 			ws.WalBytes, ws.WalRecords, ws.Seq, ws.Checkpoints, ws.CheckpointErrors,
 			ws.LastCheckpointBytes, ws.LastCheckpointDuration.Seconds(), ws.ReplayedRecords, ws.TornBytesDropped,
-			ws.CheckpointFormat, ws.FullCheckpoints, ws.IncrementalCheckpoints, ws.DeltaChainLen, ws.DeltaChainBytes)
+			ws.FullCheckpoints, ws.IncrementalCheckpoints, ws.DeltaChainLen, ws.DeltaChainBytes)
 	}
 	if s.follower != nil {
 		fs := s.follower.Status()
 		fmt.Fprintf(w, `,"repl":{"leader":%q,"state":%q,"degraded":%t,"epoch":%d,"offset":%d,"nextSeq":%d,`+
 			`"bytesBehind":%d,"recordsBehind":%d,"lastContactMS":%g,"appliedRecords":%d,"bootstraps":%d,`+
-			`"divergences":%d,"epochAdoptions":%d,"retryErrors":%d,"staleRejected":%d}`,
+			`"divergences":%d,"epochAdoptions":%d,"retryErrors":%d,"staleRejected":%d,"lastBootstrapMS":%g,"lastBootstrapBytes":%d}`,
 			fs.Leader, fs.State, fs.Degraded, fs.Epoch, fs.Offset, fs.NextSeq,
 			fs.BytesBehind, fs.RecordsBehind, fs.LastContactMS, fs.AppliedRecords, fs.Bootstraps,
-			fs.Divergences, fs.EpochAdoptions, fs.RetryErrors, fs.StaleRejected)
+			fs.Divergences, fs.EpochAdoptions, fs.RetryErrors, fs.StaleRejected, fs.LastBootstrapMS, fs.LastBootstrapBytes)
 	}
 	fmt.Fprintln(w, "}")
 }
 
-// handleExport streams every quad of one model as N-Quads. It is the
-// production consumer of store.Cursor: the snapshot cursor lets the
-// handler write row by row without holding the store lock for the whole
-// response, and the deferred Close keeps the OpenCursors gauge honest
-// even when the client disconnects mid-stream.
+// handleExport streams every quad of one model as N-Quads, or the whole
+// store as a text or binary snapshot (format=snapshot|binary). The
+// per-model export is the production consumer of store.Cursor: the
+// snapshot cursor lets the handler write row by row without holding the
+// store lock for the whole response, and the deferred Close keeps the
+// OpenCursors gauge honest even when the client disconnects mid-stream.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSONError(w, http.StatusMethodNotAllowed, "method", "method not allowed")
@@ -675,13 +676,15 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "nquads":
-	case "snapshot":
-		// The directive-carrying snapshot format (models, virtual models,
-		// index config): unlike a plain N-Quads export, this round-trips
-		// through store.Restore and pgrdf serve -restore. With a WAL
-		// attached this is also the replication bootstrap: the snapshot
-		// streams under the commit lock so the position in the headers
-		// corresponds exactly to the bytes on the wire.
+	case "snapshot", "binary":
+		// Whole-store snapshots: "snapshot" is the directive-carrying
+		// text format (models, virtual models, index config), "binary"
+		// the CRC-framed codec checkpoints use. Unlike a plain N-Quads
+		// export, both round-trip through pgrdf serve -restore. With a
+		// WAL attached this is also the replication bootstrap (followers
+		// fetch "binary"): the snapshot streams under the commit lock so
+		// the position in the headers corresponds exactly to the bytes
+		// on the wire.
 		st := s.engine().Store()
 		if s.wal != nil {
 			pos, release := s.wal.BeginSnapshot()
@@ -689,14 +692,16 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 			setPositionHeaders(w.Header(), pos)
 			w.Header().Set(repl.HeaderSnapshotQuads, strconv.Itoa(st.Len()))
 		}
-		w.Header().Set("Content-Type", "application/n-quads")
-		if err := st.Snapshot(w); err != nil {
-			return // headers already sent; the stream just ends short
+		snapshot, contentType := st.Snapshot, "application/n-quads"
+		if format == "binary" {
+			snapshot, contentType = st.SnapshotBinary, "application/octet-stream"
 		}
+		w.Header().Set("Content-Type", contentType)
+		snapshot(w) //nolint — headers already sent; the stream just ends short
 		return
 	default:
 		writeJSONError(w, http.StatusBadRequest, "request",
-			fmt.Sprintf("unknown export format %q (want nquads or snapshot)", format))
+			fmt.Sprintf("unknown export format %q (want nquads, snapshot or binary)", format))
 		return
 	}
 	model := r.URL.Query().Get("model")

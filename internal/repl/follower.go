@@ -128,16 +128,18 @@ type Follower struct {
 	readyOnce sync.Once
 
 	// observability
-	state            atomic.Int32 // State
-	lastContactNanos atomic.Int64 // wall-clock unix nanos; 0 = never
-	appliedRecords   atomic.Int64
-	leaderOffset     atomic.Int64
-	leaderNextSeq    atomic.Uint64
-	bootstraps       atomic.Int64
-	divergences      atomic.Int64
-	epochAdoptions   atomic.Int64
-	retryErrors      atomic.Int64
-	staleRejected    atomic.Int64
+	state              atomic.Int32 // State
+	lastContactNanos   atomic.Int64 // wall-clock unix nanos; 0 = never
+	appliedRecords     atomic.Int64
+	leaderOffset       atomic.Int64
+	leaderNextSeq      atomic.Uint64
+	bootstraps         atomic.Int64
+	lastBootstrapNanos atomic.Int64
+	lastBootstrapBytes atomic.Int64
+	divergences        atomic.Int64
+	epochAdoptions     atomic.Int64
+	retryErrors        atomic.Int64
+	staleRejected      atomic.Int64
 }
 
 // New builds a follower for the given leader. Run starts replication.
@@ -226,14 +228,18 @@ func (f *Follower) setNeedBootstrap() {
 	f.mu.Unlock()
 }
 
-// bootstrap fetches the leader's consistent snapshot, restores it into
-// a fresh store, verifies the transfer was complete, and adopts the
-// position the snapshot corresponds to.
+// bootstrap fetches the leader's consistent binary snapshot, restores
+// it into a fresh store, verifies the transfer was complete, and adopts
+// the position the snapshot corresponds to. The codec's section CRCs
+// and trailer reject a truncated or damaged body; the quad-count check
+// guards against a leader that serialized a different store than the
+// one its headers describe.
 func (f *Follower) bootstrap(ctx context.Context) error {
+	start := time.Now()
 	rctx, cancel := context.WithTimeout(ctx, f.opts.SnapshotTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet,
-		f.opts.Leader+"/export?format=snapshot", nil)
+		f.opts.Leader+"/export?format=binary", nil)
 	if err != nil {
 		return err
 	}
@@ -255,7 +261,11 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("repl: snapshot response missing %s", HeaderSnapshotQuads)
 	}
-	st, err := store.Restore(resp.Body)
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("repl: read snapshot: %w", err)
+	}
+	st, err := store.RestoreBinary(data)
 	if err != nil {
 		return fmt.Errorf("repl: restore snapshot: %w", err)
 	}
@@ -270,13 +280,15 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	f.mu.Unlock()
 	f.st.Store(st)
 	f.bootstraps.Add(1)
+	f.lastBootstrapBytes.Store(int64(len(data)))
+	f.lastBootstrapNanos.Store(time.Since(start).Nanoseconds())
 	f.noteContact(pos)
 	if f.OnStore != nil {
 		f.OnStore(st)
 	}
 	f.readyOnce.Do(func() { close(f.ready) })
-	f.logf("bootstrapped %d quads from %s at epoch %d offset %d (next seq %d)",
-		st.Len(), f.opts.Leader, pos.Epoch, pos.Offset, pos.NextSeq)
+	f.logf("bootstrapped %d quads (%d bytes) from %s at epoch %d offset %d (next seq %d)",
+		st.Len(), len(data), f.opts.Leader, pos.Epoch, pos.Offset, pos.NextSeq)
 	return nil
 }
 

@@ -44,7 +44,8 @@ const (
 	HeaderEpochStartSeq = "X-Pgrdf-Repl-Epoch-Start-Seq"
 	// HeaderSnapshotQuads is the quad count of a snapshot stream; the
 	// follower rejects a bootstrap whose restored store disagrees —
-	// the guard against a transfer truncated on a clean line boundary.
+	// the guard against a body that is intact but is not the store the
+	// position headers describe.
 	HeaderSnapshotQuads = "X-Pgrdf-Repl-Snapshot-Quads"
 )
 

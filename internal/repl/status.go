@@ -53,6 +53,11 @@ type Status struct {
 	EpochAdoptions int64 `json:"epoch_adoptions"`
 	RetryErrors    int64 `json:"retry_errors"`
 	StaleRejected  int64 `json:"stale_rejected"`
+
+	// The most recent successful bootstrap: wall time from request to
+	// adoption, and the snapshot body size (0 before the first).
+	LastBootstrapMS    float64 `json:"last_bootstrap_ms"`
+	LastBootstrapBytes int64   `json:"last_bootstrap_bytes"`
 }
 
 // Status reports the follower's current replication state and lag.
@@ -75,6 +80,9 @@ func (f *Follower) Status() Status {
 		EpochAdoptions: f.epochAdoptions.Load(),
 		RetryErrors:    f.retryErrors.Load(),
 		StaleRejected:  f.staleRejected.Load(),
+
+		LastBootstrapMS:    float64(f.lastBootstrapNanos.Load()) / float64(time.Millisecond),
+		LastBootstrapBytes: f.lastBootstrapBytes.Load(),
 	}
 	if age, ok := f.contactAge(); ok {
 		s.LastContactMS = float64(age) / float64(time.Millisecond)

@@ -58,9 +58,25 @@ type crashRef struct {
 	snapshot []byte
 }
 
-// crashFormats parametrizes the crash matrix over both checkpoint
-// formats: the binary default and the legacy text snapshot.
-var crashFormats = map[string]bool{"binary": false, "text": true}
+// crashFormats parametrizes the crash matrix over the full checkpoint
+// a recovering directory holds: the checkpoint.bin every checkpoint
+// writes, or a legacy text checkpoint.nq left by an older release.
+var crashFormats = []string{"binary", "text"}
+
+// checkpointAs returns the checkpoint files of a crash point in the
+// given format. The "text" leg swaps the binary checkpoint for the
+// store.Snapshot output of the same state — a legacy directory — so
+// recovery restores through the text path before replaying the tail.
+func checkpointAs(t *testing.T, format string, ckptFiles map[string][]byte, base []byte) map[string][]byte {
+	t.Helper()
+	if _, ok := ckptFiles["checkpoint.bin"]; !ok || len(ckptFiles) != 1 {
+		t.Fatalf("checkpoint files = %v, want exactly checkpoint.bin", ckptFiles)
+	}
+	if format == "binary" {
+		return ckptFiles
+	}
+	return map[string][]byte{"checkpoint.nq": base}
+}
 
 // readCheckpointFiles captures every published checkpoint artifact in
 // dir — full checkpoint (either format) and incremental deltas — so a
@@ -215,16 +231,16 @@ func TestCrashRecoveryEveryByteFig1(t *testing.T) {
 
 // TestCrashRecoveryCheckpointPlusTailFig1 takes a mid-workload
 // checkpoint and crashes through the tail, so recovery exercises
-// checkpoint restore + partial replay together — for both checkpoint
-// formats.
+// checkpoint restore + partial replay together — over a binary and a
+// legacy text checkpoint.
 func TestCrashRecoveryCheckpointPlusTailFig1(t *testing.T) {
-	for format, text := range crashFormats {
+	for _, format := range crashFormats {
 		t.Run(format, func(t *testing.T) {
 			updates := fig1Updates()
 			half := len(updates) / 2
 
 			dir := t.TempDir()
-			st, l, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways, TextCheckpoints: text})
+			st, l, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,14 +265,7 @@ func TestCrashRecoveryCheckpointPlusTailFig1(t *testing.T) {
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			ckptFiles := readCheckpointFiles(t, dir)
-			wantName := "checkpoint.bin"
-			if text {
-				wantName = "checkpoint.nq"
-			}
-			if _, ok := ckptFiles[wantName]; !ok || len(ckptFiles) != 1 {
-				t.Fatalf("checkpoint files = %v, want exactly %s", ckptFiles, wantName)
-			}
+			ckptFiles := checkpointAs(t, format, readCheckpointFiles(t, dir), refs[0].snapshot)
 			log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
 			if err != nil {
 				t.Fatal(err)
@@ -388,16 +397,13 @@ func TestCrashRecoveryTwitterSample(t *testing.T) {
 		{"pg", fmt.Sprintf(`DELETE WHERE { <http://pg/v1> %s ?v }`, name)},
 		{"pg_nodekv", fmt.Sprintf(`DELETE DATA { <http://pg/v2> %s "dummy" }`, name)},
 	}
-	for format, text := range crashFormats {
+	for _, format := range crashFormats {
 		t.Run(format, func(t *testing.T) {
 			ckptFiles, log, refs := runWorkload(t, wal.Options{
-				Sync:            wal.SyncAlways,
-				Indexes:         []string{"PCSGM", "PSCGM", "GSPCM"},
-				TextCheckpoints: text,
+				Sync:    wal.SyncAlways,
+				Indexes: []string{"PCSGM", "PSCGM", "GSPCM"},
 			}, seed, updates)
-			if len(ckptFiles) == 0 {
-				t.Fatal("no checkpoint written for the seeded store")
-			}
+			ckptFiles = checkpointAs(t, format, ckptFiles, refs[0].snapshot)
 			// Crash points: around every record boundary, plus each midpoint.
 			points := map[int64]struct{}{0: {}, int64(len(log)): {}}
 			for i := 1; i < len(refs); i++ {

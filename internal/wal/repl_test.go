@@ -215,7 +215,8 @@ func TestOpenCorruptCheckpoint(t *testing.T) {
 		corrupt func(data []byte) []byte
 	}
 	corruptions := map[string]corruption{
-		// Text format: a quad line damaged mid-file (parse failure).
+		// Legacy text checkpoint: a quad line damaged mid-file (parse
+		// failure).
 		"text garbled line": {text: true, file: checkpointFile, corrupt: func(data []byte) []byte {
 			i := bytes.Index(data, []byte("\n<"))
 			if i < 0 {
@@ -225,8 +226,8 @@ func TestOpenCorruptCheckpoint(t *testing.T) {
 			copy(out[i+1:], "<<not an n-quad>>")
 			return out
 		}},
-		// Text format: truncation mid-line (final partial line fails to
-		// parse).
+		// Legacy text checkpoint: truncation mid-line (final partial line
+		// fails to parse).
 		"text truncated mid-line": {text: true, file: checkpointFile, corrupt: func(data []byte) []byte {
 			return data[:len(data)-len("/p> \"x\" .\n")]
 		}},
@@ -256,12 +257,16 @@ func TestOpenCorruptCheckpoint(t *testing.T) {
 	for name, c := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			st, l := mustOpen(t, dir, Options{Sync: SyncAlways, TextCheckpoints: c.text})
+			st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
 			commit(t, l, st,
 				insertOp("m", "http://a", "http://p", "x"),
 				insertOp("m", "http://b", "http://p", "x"))
 			if err := l.Checkpoint(st); err != nil {
 				t.Fatal(err)
+			}
+			if c.text {
+				// A legacy directory: the same state as a text checkpoint.
+				writeLegacyCheckpoint(t, dir, st)
 			}
 			if strings.HasPrefix(c.file, "checkpoint.delta.") {
 				commit(t, l, st, insertOp("m", "http://c", "http://p", "x"))

@@ -102,6 +102,64 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 }
 
+// writeLegacyCheckpoint turns dir into the layout an older release
+// left behind: st's store.Snapshot output as checkpoint.nq, and no
+// binary checkpoint.
+func writeLegacyCheckpoint(t *testing.T, dir string, st *store.Store) {
+	t.Helper()
+	if err := os.Remove(filepath.Join(dir, checkpointBinFile)); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, checkpointFile), snapshotBytes(t, st), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenLegacyTextCheckpoint opens a directory holding only a text
+// checkpoint.nq: it must restore exactly, refuse to root a delta chain
+// on it (the first incremental request promotes to a full checkpoint),
+// and be replaced by checkpoint.bin once that checkpoint lands.
+func TestOpenLegacyTextCheckpoint(t *testing.T) {
+	seed := store.New()
+	for _, q := range []struct{ model, s, o string }{
+		{"m", "http://a", "1"}, {"m", "http://b", "2"}, {"aux", "http://a", "3"},
+	} {
+		if _, err := seed.Insert(q.model, rdf.Quad{S: rdf.NewIRI(q.s), P: rdf.NewIRI("http://p"), O: rdf.NewLiteral(q.o)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.CreateVirtualModel("both", "m", "aux"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	writeLegacyCheckpoint(t, dir, seed)
+
+	st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
+	if got, want := snapshotBytes(t, st), snapshotBytes(t, seed); !bytes.Equal(got, want) {
+		t.Fatalf("legacy restore diverges:\n got: %s\nwant: %s", got, want)
+	}
+	commit(t, l, st, insertOp("m", "http://c", "http://p", "4"))
+	if err := l.CheckpointIncremental(st); err != nil {
+		t.Fatal(err)
+	}
+	if ws := l.Stats(); ws.FullCheckpoints != 1 || ws.IncrementalCheckpoints != 0 || ws.DeltaChainLen != 0 {
+		t.Fatalf("incremental over a text base did not promote to full: %+v", ws)
+	}
+	if _, err := os.Stat(filepath.Join(dir, checkpointFile)); !os.IsNotExist(err) {
+		t.Fatalf("legacy checkpoint.nq survived a full checkpoint: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, checkpointBinFile)); err != nil {
+		t.Fatalf("no checkpoint.bin after the full checkpoint: %v", err)
+	}
+	want := snapshotBytes(t, st)
+	l.Close()
+
+	st2, _ := mustOpen(t, dir, Options{Sync: SyncAlways})
+	if got := snapshotBytes(t, st2); !bytes.Equal(got, want) {
+		t.Fatal("reopen after replacing the legacy checkpoint diverges")
+	}
+}
+
 func TestOpenRemovesStaleCheckpointTmp(t *testing.T) {
 	dir := t.TempDir()
 	st, l := mustOpen(t, dir, Options{Sync: SyncAlways})
